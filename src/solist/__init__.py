@@ -18,7 +18,6 @@ from .closed_form import (
     trans_t2,
 )
 from .errors import (
-    BackwardMoveError,
     InvalidParameterError,
     ItemNotInListError,
     NotAPermutationError,
@@ -47,7 +46,6 @@ from .policies import (
 from .seqgen import (
     Family,
     RequestSequence,
-    SequenceSpec,
     explicit_sequence,
     gen_perm_power,
     gen_t1,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessOutcome",
     "Algorithm",
-    "BackwardMoveError",
     "CostLedger",
     "CostModel",
     "CrossoverResult",
@@ -78,7 +75,6 @@ __all__ = [
     "Policy",
     "Prediction",
     "RequestSequence",
-    "SequenceSpec",
     "SolistError",
     "Transpose",
     "VerificationReport",

@@ -16,17 +16,14 @@ import io
 import sys
 from typing import Sequence
 
-from .closed_form import Algorithm, as_algorithm, as_family, predict
+from .closed_form import Algorithm, as_family, predict
 from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError
 from .harness import crossover, verify_grid
 from .list_core import CostModel, ListState
 from .policies import make_policy, serve
-from .seqgen import Family, gen_t1, gen_t2, parse_list_file, parse_sequence_file
+from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
 
 __all__ = ["main", "run", "build_parser"]
-
-_FAMILY_BY_FLAG = {"t1": Family.T1, "t2": Family.T2}
-_GEN_BY_FAMILY = {Family.T1: gen_t1, Family.T2: gen_t2}
 
 COMPARE_HEADER = ["n", "k", "family", "mtf_cost", "trans_cost"]
 VERIFY_HEADER = ["algo", "family", "n", "k", "simulated", "predicted", "match"]
@@ -42,24 +39,15 @@ plot "{csv}" every ::1 using 2:4 with linespoints title "mtf", \\
 """
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """'a..b' (inclusive) or a single integer 'a' meaning a..a."""
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        return int(lo_text), int(hi_text)
-    value = int(text)
-    return value, value
-
-
 def _range_arg(text: str) -> tuple[int, int]:
+    """'a..b' (inclusive) or a single integer 'a' meaning a..a."""
     try:
-        return _parse_range(text)
+        if ".." in text:
+            lo_text, _, hi_text = text.partition("..")
+            return int(lo_text), int(hi_text)
+        return int(text), int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
-
-
-def _model_of(args: argparse.Namespace) -> CostModel:
-    return CostModel(args.model)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +113,8 @@ def _load_explicit(args: argparse.Namespace) -> tuple[ListState, object]:
             sequence = parse_sequence_file(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read input file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file is not valid UTF-8: {exc}") from None
     return initial, sequence
 
 
@@ -138,15 +128,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if family_source:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
-        family = _FAMILY_BY_FLAG[args.seq]
         initial = ListState.initial(args.n)
-        sequence = _GEN_BY_FAMILY[family](args.n, args.k)
+        sequence = GENERATORS[as_family(args.seq)](args.n, args.k)
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
         initial, sequence = _load_explicit(args)
 
-    ledger = serve(make_policy(args.algo), initial, sequence, _model_of(args))
+    ledger = serve(make_policy(args.algo), initial, sequence, CostModel(args.model))
     if args.per_pass:
         if ledger.pass_totals is None:
             print("no pass structure declared for this sequence")
@@ -159,7 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    prediction = predict(args.algo, _FAMILY_BY_FLAG[args.seq], args.n, args.k)
+    prediction = predict(args.algo, args.seq, args.n, args.k)
     print(
         f"algo {prediction.algorithm.value} family {prediction.family.value} "
         f"n {prediction.n} k {prediction.k} case {prediction.case_id} total {prediction.total}"
@@ -176,9 +165,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    algorithms = [as_algorithm(a) for a in (args.algo or ["mtf", "trans"])]
-    families = [_FAMILY_BY_FLAG[f] for f in (args.seq or ["t1", "t2"])]
-    report = verify_grid(algorithms, families, args.n, args.k, _model_of(args))
+    algorithms, families = args.algo or ["mtf", "trans"], args.seq or ["t1", "t2"]
+    report = verify_grid(algorithms, families, args.n, args.k, CostModel(args.model))
 
     if args.format == "csv":
         buffer = io.StringIO()
@@ -216,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
-    family = _FAMILY_BY_FLAG[args.seq]
+    family = as_family(args.seq)
     k_lo, k_hi = args.k
     if k_lo < 1 or k_lo > k_hi:
         raise InvalidParameterError(f"k range must satisfy 1 <= lo <= hi, got {k_lo}..{k_hi}")
@@ -237,7 +225,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
-    family = _FAMILY_BY_FLAG[args.seq]
+    family = as_family(args.seq)
     n_lo, n_hi = args.n
     if n_lo < 1 or n_lo > n_hi:
         raise InvalidParameterError(f"n range must satisfy 1 <= lo <= hi, got {n_lo}..{n_hi}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .seqgen import Family
 
 __all__ = [
@@ -53,13 +53,6 @@ class Prediction:
     total: int
 
 
-def _check_n_k(n: int, k: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
-
-
 def _exact_int(value: Fraction, context: str) -> int:
     # Integrality is provable for every case; a trip here is a bug.
     if value.denominator != 1:
@@ -73,7 +66,8 @@ def mtf_t1(n: int, k: int) -> Prediction:
     The first pass costs n(n+1)/2 and every later pass costs n^2 because
     each pass leaves the list exactly reversed.
     """
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k")
     total = _exact_int(Fraction(n * n * (2 * k - 1) + n, 2), "mtf/t1")
     return Prediction(Algorithm.MTF, Family.T1, n, k, "1", total)
 
@@ -84,7 +78,8 @@ def mtf_t2(n: int, k: int) -> Prediction:
     Every request finds its item at the back, and each pass restores the
     initial configuration.
     """
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k")
     return Prediction(Algorithm.MTF, Family.T2, n, k, "2", k * n * n)
 
 
@@ -99,7 +94,8 @@ def trans_t1(n: int, k: int) -> Prediction:
       even n, k > n/2:      ((n^2 + 2n)/2) * (4k - 1)/4
       odd n,  k > (n-1)/2:  k*(n^2 + 2n - 1)/2 - (n^2 - 1)/8
     """
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k")
     if n % 2 == 0:
         if k <= n // 2:
             case_id = "3.1a"
@@ -123,7 +119,8 @@ def trans_t2(n: int, k: int) -> Prediction:
     Each pass restores the initial configuration, costing (n^2 + 2n)/2
     for even n and (n^2 + 2n - 3)/2 + 1 for odd n.
     """
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k")
     if n % 2 == 0:
         case_id = "3.2a"
         total = Fraction(k * (n * n + 2 * n), 2)
@@ -184,9 +181,8 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     """
     algorithm = as_algorithm(algorithm)
     family = as_family(family)
-    if family not in (Family.T1, Family.T2):
-        raise InvalidParameterError(f"no per-pass decomposition for family {family.value}")
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k")
     first = n * (n + 1) // 2
     if algorithm is Algorithm.MTF:
         if family is Family.T1:

@@ -30,9 +30,13 @@ class NotAPermutationError(SolistError, ValueError):
     """A value that must be a permutation has duplicate or missing items."""
 
 
-class BackwardMoveError(SolistError, ValueError):
-    """A free forward move was asked to move an item backward."""
-
-
 class ParseError(SolistError, ValueError):
     """A list or sequence text input is malformed."""
+
+
+def check_int(value, name: str, minimum: int = 1) -> None:
+    """Raise InvalidParameterError naming ``name`` unless ``value`` is an
+    int (not a bool) of at least ``minimum``, which is 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .closed_form import Algorithm, Prediction, as_algorithm, as_family, expected_pass_costs, predict
-from .errors import InvalidParameterError, SolistError
+from .errors import InvalidParameterError, SolistError, check_int
 from .list_core import CostLedger, CostModel, ListState
-from .policies import MoveToFront, Policy, Transpose, serve
-from .seqgen import Family, RequestSequence, gen_t1, gen_t2
+from .policies import make_policy, serve
+from .seqgen import GENERATORS, Family
 
 __all__ = [
     "GridCell",
@@ -28,16 +28,6 @@ __all__ = [
     "per_pass_profile",
     "crossover",
 ]
-
-_POLICIES: dict[Algorithm, Policy] = {
-    Algorithm.MTF: MoveToFront(),
-    Algorithm.TRANS: Transpose(),
-}
-
-_GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
-    Family.T1: gen_t1,
-    Family.T2: gen_t2,
-}
 
 
 @dataclass(frozen=True)
@@ -105,17 +95,16 @@ class CrossoverResult:
 
 def _check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
     lo, hi = bounds
-    for value in (lo, hi):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InvalidParameterError(f"{name} bounds must be positive integers, got {bounds!r}")
+    check_int(lo, f"{name} lower bound")
+    check_int(hi, f"{name} upper bound")
     if lo > hi:
         raise InvalidParameterError(f"{name} range is empty: {lo}..{hi}")
     return lo, hi
 
 
 def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel) -> CostLedger:
-    sequence = _GENERATORS[family](n, k)
-    return serve(_POLICIES[algorithm], ListState.initial(n), sequence, model)
+    sequence = GENERATORS[family](n, k)
+    return serve(make_policy(algorithm.value), ListState.initial(n), sequence, model)
 
 
 def _first_divergence(
@@ -147,9 +136,6 @@ def verify_grid(
     families = tuple(as_family(f) for f in families)
     if not algorithms or not families:
         raise InvalidParameterError("need at least one algorithm and one family")
-    for family in families:
-        if family not in _GENERATORS:
-            raise InvalidParameterError(f"no generated family {family.value}")
     n_lo, n_hi = _check_range(n_range, "n")
     k_lo, k_hi = _check_range(k_range, "k")
 
@@ -184,10 +170,7 @@ def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k
     """Full-model per-pass costs and pass-end configurations."""
     algorithm = as_algorithm(algorithm)
     family = as_family(family)
-    if family not in _GENERATORS:
-        raise InvalidParameterError(f"no generated family {family.value}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+    check_int(k, "k")
     ledger = _simulate(algorithm, family, n, k, CostModel.FULL)
     return PassProfile(
         algorithm=algorithm,
@@ -207,8 +190,7 @@ def crossover(family: Family | str, n: int, k_max: int) -> CrossoverResult:
     broken dominance would mean a defective evaluator.
     """
     family = as_family(family)
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise InvalidParameterError(f"k_max must be a positive integer, got {k_max!r}")
+    check_int(k_max, "k_max")
     k_star = None
     for k in range(1, k_max + 1):
         trans_total = predict(Algorithm.TRANS, family, n, k).total

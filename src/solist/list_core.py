@@ -1,9 +1,9 @@
-"""List state machine: item arrangement, position lookup, elementary
-exchanges, and cost accounting under the full and partial cost models.
+"""List state: item arrangement, position lookup, and cost accounting
+under the full and partial cost models.
 
 Positions are 1-based throughout: the front of the list is position 1.
-Every operation is pure; methods that rearrange items return a new
-:class:`ListState` and never mutate the receiver.
+A :class:`ListState` is immutable; the reorganization rules that produce
+new arrangements live in :mod:`solist.policies`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BackwardMoveError, InvalidParameterError, ItemNotInListError
+from .errors import InvalidParameterError, ItemNotInListError, check_int
 
 __all__ = ["CostModel", "ListState", "CostLedger"]
 
@@ -31,8 +31,7 @@ class CostModel(Enum):
 
 def _check_items(items: tuple[int, ...]) -> None:
     for item in items:
-        if not isinstance(item, int) or isinstance(item, bool) or item < 1:
-            raise InvalidParameterError(f"item ids must be positive integers, got {item!r}")
+        check_int(item, "each item id")
     if len(set(items)) != len(items):
         raise InvalidParameterError(f"item ids must be distinct, got {items!r}")
 
@@ -42,7 +41,7 @@ class ListState:
     """An arrangement of n distinct positive-integer items.
 
     ``order[0]`` is the item at position 1 (the front). The item set is
-    fixed: rearranging operations permute, they never insert or delete.
+    fixed: reorganization permutes it, never inserts or deletes.
     """
 
     order: tuple[int, ...]
@@ -54,9 +53,16 @@ class ListState:
     @classmethod
     def initial(cls, n: int) -> "ListState":
         """The canonical starting arrangement (1, 2, ..., n)."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(f"list size must be a positive integer, got {n!r}")
-        return cls(tuple(range(1, n + 1)))
+        check_int(n, "list size")
+        return cls._unchecked(tuple(range(1, n + 1)))
+
+    @classmethod
+    def _unchecked(cls, order: tuple[int, ...]) -> "ListState":
+        """Wrap an arrangement known to be valid, such as a permutation of
+        an already validated one, without checking it again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "order", order)
+        return state
 
     @property
     def n(self) -> int:
@@ -81,60 +87,19 @@ class ListState:
         pos = self.position_of(item)
         return pos if model is CostModel.FULL else pos - 1
 
-    def transpose_forward(self, item: int) -> "ListState":
-        """Swap ``item`` with its immediate predecessor; no-op at the front."""
-        pos = self.position_of(item)
-        if pos == 1:
-            return self
-        order = list(self.order)
-        order[pos - 2], order[pos - 1] = order[pos - 1], order[pos - 2]
-        return ListState(tuple(order))
-
-    def move_to_front(self, item: int) -> "ListState":
-        """Move ``item`` to position 1, shifting intervening items back one."""
-        pos = self.position_of(item)
-        if pos == 1:
-            return self
-        order = list(self.order)
-        order.insert(0, order.pop(pos - 1))
-        return ListState(tuple(order))
-
-    def move_forward_to(self, item: int, target: int) -> "ListState":
-        """Move ``item`` forward to position ``target`` as a free exchange.
-
-        ``target`` must not be behind the item's current position: a
-        backward move would require paid exchanges and is rejected.
-        """
-        pos = self.position_of(item)
-        if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-            raise InvalidParameterError(f"target position must be a positive integer, got {target!r}")
-        if target > pos:
-            raise BackwardMoveError(
-                f"cannot move item {item} from position {pos} back to {target}: "
-                "free exchanges only move forward"
-            )
-        if target == pos:
-            return self
-        order = list(self.order)
-        order.insert(target - 1, order.pop(pos - 1))
-        return ListState(tuple(order))
-
 
 @dataclass(frozen=True)
 class CostLedger:
     """Cost accounting for one served request sequence.
 
-    ``per_request`` holds the access cost of each request in order.
-    ``paid_exchange_total`` is carried for completeness of the cost model;
-    the three shipped policies use only free exchanges, so they always
-    leave it at 0. When the sequence declares a pass structure,
-    ``pass_totals`` and ``pass_end_configs`` record the access-cost
-    subtotal and the configuration snapshot at every pass boundary.
+    ``per_request`` holds the access cost of each request in order. When
+    the sequence declares a pass structure, ``pass_totals`` and
+    ``pass_end_configs`` record the access-cost subtotal and the
+    configuration snapshot at every pass boundary.
     """
 
     per_request: tuple[int, ...]
     access_total: int
-    paid_exchange_total: int
     final_state: ListState
     pass_totals: tuple[int, ...] | None = None
     pass_end_configs: tuple[ListState, ...] | None = None
@@ -148,8 +113,6 @@ class CostLedger:
                 f"access_total {self.access_total} != sum of per-request costs "
                 f"{sum(self.per_request)}"
             )
-        if self.paid_exchange_total < 0:
-            raise InvalidParameterError("paid_exchange_total must be nonnegative")
         if self.pass_totals is not None:
             object.__setattr__(self, "pass_totals", tuple(self.pass_totals))
             if sum(self.pass_totals) != self.access_total:
@@ -162,4 +125,6 @@ class CostLedger:
 
     @property
     def grand_total(self) -> int:
-        return self.access_total + self.paid_exchange_total
+        """Total cost charged. The shipped rules move only the accessed item
+        forward, which is free, so this is the access total."""
+        return self.access_total

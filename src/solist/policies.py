@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import InvalidParameterError, ItemNotInListError
+from .errors import InvalidParameterError, ItemNotInListError, check_int
 from .list_core import CostLedger, CostModel, ListState
 from .seqgen import RequestSequence
 
@@ -45,74 +45,64 @@ class AccessOutcome:
 
 class Policy:
     """Base class for reorganization rules. Policies are immutable values;
-    stateful rules (frequency count) return an updated copy from ``step``."""
+    stateful rules (frequency count) return an updated copy from ``step``.
+
+    A rule is defined once, by ``_start_run``: it returns the in-place
+    advance function plus, for rules that keep counters, the counter dict
+    that advance updates. ``step`` and ``serve`` are both built on it.
+    """
 
     kind: str = ""
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
+        """Serve one request as a pure function of (policy, state, item)."""
+        order = list(state.order)
+        advance, counts = self._start_run(state)
+        try:
+            pos = advance(order, item)
+        except ValueError:
+            raise ItemNotInListError(item) from None
+        cost = pos - 1 if model is CostModel.PARTIAL else pos
+        new_policy = self if counts is None else FrequencyCount(counts)
+        return AccessOutcome(cost, ListState._unchecked(tuple(order)), new_policy)
+
+    def _start_run(self, initial: ListState) -> tuple[_Advance, dict[int, int] | None]:
         raise NotImplementedError
 
-    def _start_run(self, initial: ListState) -> _Advance:
-        raise NotImplementedError
 
-
+@dataclass(frozen=True)
 class MoveToFront(Policy):
     """After accessing an item, move it to the front of the list."""
 
     kind = "mtf"
 
-    def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
-        cost = state.access_cost(item, model)
-        return AccessOutcome(cost, state.move_to_front(item), self)
-
-    def _start_run(self, initial: ListState) -> _Advance:
+    def _start_run(self, initial: ListState) -> tuple[_Advance, None]:
         def advance(order: list, item: int) -> int:
             pos = order.index(item)
             if pos:
                 order.insert(0, order.pop(pos))
             return pos + 1
 
-        return advance
-
-    def __repr__(self) -> str:
-        return "MoveToFront()"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is MoveToFront
-
-    def __hash__(self) -> int:
-        return hash(MoveToFront)
+        return advance, None
 
 
+@dataclass(frozen=True)
 class Transpose(Policy):
     """After accessing an item, swap it with its immediate predecessor."""
 
     kind = "trans"
 
-    def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
-        cost = state.access_cost(item, model)
-        return AccessOutcome(cost, state.transpose_forward(item), self)
-
-    def _start_run(self, initial: ListState) -> _Advance:
+    def _start_run(self, initial: ListState) -> tuple[_Advance, None]:
         def advance(order: list, item: int) -> int:
             pos = order.index(item)
             if pos:
                 order[pos - 1], order[pos] = order[pos], order[pos - 1]
             return pos + 1
 
-        return advance
-
-    def __repr__(self) -> str:
-        return "Transpose()"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Transpose
-
-    def __hash__(self) -> int:
-        return hash(Transpose)
+        return advance, None
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class FrequencyCount(Policy):
     """Keep the list in non-increasing order of per-item access counters.
 
@@ -129,29 +119,13 @@ class FrequencyCount(Policy):
 
     def __post_init__(self) -> None:
         for item, count in self.counters.items():
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise InvalidParameterError(
-                    f"counter for item {item} must be a nonnegative integer, got {count!r}"
-                )
+            check_int(count, f"counter for item {item}", minimum=0)
         object.__setattr__(self, "counters", dict(self.counters))
 
     def counter(self, item: int) -> int:
         return self.counters.get(item, 0)
 
-    def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
-        cost = state.access_cost(item, model)
-        counts = {member: self.counters.get(member, 0) for member in state.order}
-        counts[item] += 1
-        order = list(state.order)
-        src = order.index(item)
-        dest = src
-        while dest > 0 and counts[order[dest - 1]] < counts[item]:
-            dest -= 1
-        if dest != src:
-            order.insert(dest, order.pop(src))
-        return AccessOutcome(cost, ListState(tuple(order)), FrequencyCount(counts))
-
-    def _start_run(self, initial: ListState) -> _Advance:
+    def _start_run(self, initial: ListState) -> tuple[_Advance, dict[int, int]]:
         counts = {member: self.counters.get(member, 0) for member in initial.order}
 
         def advance(order: list, item: int) -> int:
@@ -165,7 +139,7 @@ class FrequencyCount(Policy):
                 order.insert(dest, order.pop(src))
             return src + 1
 
-        return advance
+        return advance, counts
 
 
 _FACTORIES = {
@@ -204,7 +178,7 @@ def serve(
         raise InvalidParameterError(f"unknown cost model {model!r}")
     requests = sequence.requests
     order = list(initial.order)
-    advance = policy._start_run(initial)
+    advance, _ = policy._start_run(initial)
     partial = model is CostModel.PARTIAL
 
     per_request: list[int] = []
@@ -224,14 +198,13 @@ def serve(
             pass_acc += cost
             if (index + 1) % pass_len == 0:
                 pass_totals.append(pass_acc)
-                pass_configs.append(ListState(tuple(order)))
+                pass_configs.append(ListState._unchecked(tuple(order)))
                 pass_acc = 0
 
     return CostLedger(
         per_request=tuple(per_request),
         access_total=sum(per_request),
-        paid_exchange_total=0,
-        final_state=ListState(tuple(order)),
+        final_state=ListState._unchecked(tuple(order)),
         pass_totals=tuple(pass_totals) if pass_totals is not None else None,
         pass_end_configs=tuple(pass_configs) if pass_configs is not None else None,
     )

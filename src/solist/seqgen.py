@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidParameterError, NotAPermutationError, ParseError
+from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_int
 from .list_core import ListState
 
 __all__ = [
     "Family",
     "RequestSequence",
-    "SequenceSpec",
     "gen_t1",
     "gen_t2",
     "gen_perm_power",
@@ -31,12 +30,10 @@ __all__ = [
 
 
 class Family(Enum):
-    """Kinds of request sequences the library knows how to build."""
+    """The generated request-sequence families."""
 
     T1 = "T1"  # the initial list order, repeated k times
     T2 = "T2"  # the reversed list order, repeated k times
-    PERM_POWER = "perm_power"  # an arbitrary permutation, repeated k times
-    EXPLICIT = "explicit"  # a literal request stream
 
 
 @dataclass(frozen=True)
@@ -54,10 +51,7 @@ class RequestSequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
         if self.pass_length is not None:
-            if not isinstance(self.pass_length, int) or isinstance(self.pass_length, bool) or self.pass_length < 1:
-                raise InvalidParameterError(
-                    f"pass_length must be a positive integer, got {self.pass_length!r}"
-                )
+            check_int(self.pass_length, "pass_length")
             if len(self.requests) % self.pass_length:
                 raise InvalidParameterError(
                     f"sequence length {len(self.requests)} is not a multiple of "
@@ -67,29 +61,18 @@ class RequestSequence:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def num_passes(self) -> int | None:
-        if self.pass_length is None:
-            return None
-        return len(self.requests) // self.pass_length
-
-
-def _check_n_k(n: int, k: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParameterError(f"k must be a nonnegative integer, got {k!r}")
-
 
 def gen_t1(n: int, k: int) -> RequestSequence:
     """(1, 2, ..., n) repeated k times."""
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k", minimum=0)
     return RequestSequence(tuple(range(1, n + 1)) * k, pass_length=n)
 
 
 def gen_t2(n: int, k: int) -> RequestSequence:
     """(n, n-1, ..., 1) repeated k times."""
-    _check_n_k(n, k)
+    check_int(n, "n")
+    check_int(k, "k", minimum=0)
     return RequestSequence(tuple(range(n, 0, -1)) * k, pass_length=n)
 
 
@@ -99,7 +82,7 @@ def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
     if not perm:
         raise InvalidParameterError("perm must be nonempty")
     n = len(perm)
-    _check_n_k(n, k)
+    check_int(k, "k", minimum=0)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutationError(
             f"{perm!r} is not a permutation of 1..{n} (duplicate or missing item)"
@@ -111,41 +94,14 @@ def explicit_sequence(items: Iterable[int], pass_length: int | None = None) -> R
     """Wrap a literal request stream, optionally declaring a pass structure."""
     items = tuple(items)
     for item in items:
-        if not isinstance(item, int) or isinstance(item, bool) or item < 1:
-            raise InvalidParameterError(f"requests must be positive integers, got {item!r}")
+        check_int(item, "each request")
     return RequestSequence(items, pass_length=pass_length)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Declarative description of a request sequence; ``build`` materializes it."""
-
-    family: Family
-    n: int | None = None
-    k: int | None = None
-    perm: tuple[int, ...] | None = None
-    items: tuple[int, ...] | None = None
-
-    def build(self) -> RequestSequence:
-        if self.family is Family.T1:
-            return gen_t1(self._require("n"), self._require("k"))
-        if self.family is Family.T2:
-            return gen_t2(self._require("n"), self._require("k"))
-        if self.family is Family.PERM_POWER:
-            if self.perm is None:
-                raise InvalidParameterError("perm_power spec needs a perm")
-            return gen_perm_power(self.perm, self._require("k"))
-        if self.family is Family.EXPLICIT:
-            if self.items is None:
-                raise InvalidParameterError("explicit spec needs items")
-            return explicit_sequence(self.items)
-        raise InvalidParameterError(f"unknown family {self.family!r}")
-
-    def _require(self, name: str) -> int:
-        value = getattr(self, name)
-        if value is None:
-            raise InvalidParameterError(f"{self.family.value} spec needs {name}")
-        return value
+GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
+    Family.T1: gen_t1,
+    Family.T2: gen_t2,
+}
 
 
 # Text ingestion. Tokens are integers separated by whitespace or commas;

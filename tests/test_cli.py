@@ -114,6 +114,23 @@ def test_simulate_malformed_file_is_exit_3(capsys, tmp_path):
     assert "two" in err
 
 
+def test_simulate_non_utf8_file_is_exit_3(tmp_path):
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text("1 2 3\n")
+    seq_file.write_bytes(b"1 2\xff 3\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [
+        sys.executable, "-m", "solist", "simulate", "--algo", "mtf",
+        "--list-file", str(list_file), "--seq-file", str(seq_file),
+    ]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_simulate_unknown_item_is_exit_3(capsys, tmp_path):
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"

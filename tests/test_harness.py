@@ -99,8 +99,6 @@ def test_verify_grid_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         verify_grid(["mtf"], ["explicit"], (1, 2), (1, 2))
     with pytest.raises(InvalidParameterError):
-        verify_grid(["mtf"], ["T1"], (0, 2), (1, 2))
-    with pytest.raises(InvalidParameterError):
         verify_grid(["mtf"], ["T1"], (3, 2), (1, 2))
     with pytest.raises(InvalidParameterError):
         verify_grid(["lfu"], ["T1"], (1, 2), (1, 2))
@@ -148,8 +146,6 @@ def test_profile_costs_sum_to_prediction():
 def test_per_pass_profile_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         per_pass_profile("mtf", "explicit", 3, 1)
-    with pytest.raises(InvalidParameterError):
-        per_pass_profile("mtf", "T1", 3, 0)
 
 
 def test_crossover_descending_family():
@@ -171,8 +167,6 @@ def test_crossover_never_wins_on_two_items():
 
 
 def test_crossover_rejects_bad_input():
-    with pytest.raises(InvalidParameterError):
-        crossover("T1", 5, 0)
     with pytest.raises(InvalidParameterError):
         crossover("T3", 5, 5)
 

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solist import (
-    BackwardMoveError,
     CostLedger,
     CostModel,
     InvalidParameterError,
     ItemNotInListError,
     ListState,
+    MoveToFront,
+    Transpose,
 )
 
 import reference
@@ -56,59 +57,14 @@ def test_access_cost_defaults_to_full():
     assert ListState((1, 2, 3, 4)).access_cost(2) == 2
 
 
-def test_transpose_forward_swaps_adjacent_pair():
-    assert ListState((1, 2, 3, 4)).transpose_forward(3).order == (1, 3, 2, 4)
-
-
-def test_transpose_forward_head_is_noop():
-    state = ListState((1, 2, 3, 4))
-    assert state.transpose_forward(1) == state
-
-
-def test_transpose_forward_matches_oracle_on_rotated_state():
-    state = ListState((2, 3, 4, 1))
-    assert state.transpose_forward(1).order == (2, 3, 1, 4)
-    assert state.transpose_forward(1).order == tuple(reference.apply_trans([2, 3, 4, 1], 1))
-
-
-def test_move_to_front_examples():
-    assert ListState((1, 2, 3, 4)).move_to_front(3).order == (3, 1, 2, 4)
-    assert ListState((1, 2, 3, 4)).move_to_front(1).order == (1, 2, 3, 4)
-    assert ListState((4, 3, 2, 1)).move_to_front(1).order == (1, 4, 3, 2)
-
-
-def test_move_forward_to_examples():
-    assert ListState((1, 2, 3, 4)).move_forward_to(4, 2).order == (1, 4, 2, 3)
-    assert ListState((1, 2, 3, 4)).move_forward_to(3, 3).order == (1, 2, 3, 4)
-    assert ListState((2, 3, 4, 1)).move_forward_to(4, 1).order == (4, 2, 3, 1)
-
-
-def test_move_forward_to_rejects_backward_move():
-    with pytest.raises(BackwardMoveError):
-        ListState((1, 2, 3, 4)).move_forward_to(2, 4)
-
-
-def test_move_forward_to_rejects_bad_target():
-    with pytest.raises(InvalidParameterError):
-        ListState((1, 2, 3)).move_forward_to(2, 0)
-
-
 def test_liststate_rejects_duplicates():
     with pytest.raises(InvalidParameterError):
         ListState((1, 2, 2))
 
 
-def test_liststate_rejects_nonpositive_ids():
-    with pytest.raises(InvalidParameterError):
-        ListState((0, 1))
-    with pytest.raises(InvalidParameterError):
-        ListState((-3,))
-
-
 def test_initial_builds_canonical_list():
     assert ListState.initial(4).order == (1, 2, 3, 4)
-    with pytest.raises(InvalidParameterError):
-        ListState.initial(0)
+    assert ListState.initial(4) == ListState((1, 2, 3, 4))
 
 
 def test_contains_and_n():
@@ -127,11 +83,8 @@ def test_partial_is_full_minus_one(si):
 @given(state_and_item())
 def test_operations_preserve_item_set(si):
     state, item = si
-    for result in (
-        state.transpose_forward(item),
-        state.move_to_front(item),
-        state.move_forward_to(item, 1),
-    ):
+    for policy in (MoveToFront(), Transpose()):
+        result = policy.step(state, item).new_state
         assert sorted(result.order) == sorted(state.order)
 
 
@@ -139,48 +92,25 @@ def test_operations_preserve_item_set(si):
 def test_repeated_transpose_reaches_front(si):
     state, item = si
     for _ in range(state.position_of(item) - 1):
-        state = state.transpose_forward(item)
+        state = Transpose().step(state, item).new_state
     assert state.position_of(item) == 1
 
 
 @given(state_and_item())
 def test_transpose_moves_one_adjacent_pair_or_nothing(si):
     state, item = si
-    after = state.transpose_forward(item)
+    after = Transpose().step(state, item).new_state
     changed = [i for i, (a, b) in enumerate(zip(state.order, after.order)) if a != b]
     assert changed == [] or (len(changed) == 2 and changed[1] == changed[0] + 1)
-
-
-@given(state_and_item())
-def test_move_to_front_is_idempotent(si):
-    state, item = si
-    once = state.move_to_front(item)
-    assert once.move_to_front(item) == once
-    assert once.position_of(item) == 1
-
-
-@given(state_and_item())
-def test_move_forward_to_front_equals_move_to_front(si):
-    state, item = si
-    assert state.move_forward_to(item, 1) == state.move_to_front(item)
-
-
-@given(state_and_item(), st.data())
-def test_move_forward_to_lands_on_target(si, data):
-    state, item = si
-    target = data.draw(st.integers(min_value=1, max_value=state.position_of(item)))
-    moved = state.move_forward_to(item, target)
-    assert moved.position_of(item) == target
 
 
 def test_ledger_grand_total_is_sum_of_components():
     ledger = CostLedger(
         per_request=(1, 2, 3),
         access_total=6,
-        paid_exchange_total=2,
         final_state=ListState((1, 2, 3)),
     )
-    assert ledger.grand_total == 8
+    assert ledger.grand_total == 6
 
 
 def test_ledger_rejects_inconsistent_access_total():
@@ -188,7 +118,6 @@ def test_ledger_rejects_inconsistent_access_total():
         CostLedger(
             per_request=(1, 2, 3),
             access_total=7,
-            paid_exchange_total=0,
             final_state=ListState((1, 2, 3)),
         )
 
@@ -198,7 +127,6 @@ def test_ledger_rejects_pass_totals_that_do_not_sum():
         CostLedger(
             per_request=(1, 2, 3, 4),
             access_total=10,
-            paid_exchange_total=0,
             final_state=ListState((1, 2, 3, 4)),
             pass_totals=(3, 8),
             pass_end_configs=(ListState((1, 2, 3, 4)), ListState((1, 2, 3, 4))),
@@ -210,13 +138,5 @@ def test_ledger_rejects_negative_costs():
         CostLedger(
             per_request=(-1,),
             access_total=-1,
-            paid_exchange_total=0,
-            final_state=ListState((1,)),
-        )
-    with pytest.raises(InvalidParameterError):
-        CostLedger(
-            per_request=(1,),
-            access_total=1,
-            paid_exchange_total=-2,
             final_state=ListState((1,)),
         )

@@ -38,13 +38,47 @@ def instance(draw, max_n=6, max_m=24):
 
 
 def fold_steps(policy, state, requests, model=CostModel.FULL):
-    total = 0
+    costs = []
     for item in requests:
         outcome = policy.step(state, item, model)
-        total += outcome.cost
+        costs.append(outcome.cost)
         state = outcome.new_state
         policy = outcome.new_policy
-    return total, state
+    return tuple(costs), state, policy
+
+
+@pytest.mark.parametrize(
+    "name, start, item, expected",
+    [
+        ("mtf", (1, 2, 3, 4), 3, (3, 1, 2, 4)),
+        ("mtf", (4, 3, 2, 1), 1, (1, 4, 3, 2)),
+        ("trans", (1, 2, 3, 4), 3, (1, 3, 2, 4)),
+        ("trans", (2, 3, 4, 1), 1, (2, 3, 1, 4)),
+    ],
+    ids=["mtf-middle", "mtf-tail", "trans-middle", "trans-tail"],
+)
+def test_step_examples(name, start, item, expected):
+    outcome = POLICIES[name].step(ListState(start), item)
+    assert outcome.new_state.order == expected
+    assert reference.run(name, start, [item])[1] == [expected]
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@given(inst=instance())
+@settings(max_examples=30)
+def test_step_on_head_item_is_noop(name, inst):
+    state, _ = inst
+    outcome = POLICIES[name].step(state, state.order[0])
+    assert outcome.cost == 1
+    assert outcome.new_state == state
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_step_rejects_missing_item(name):
+    with pytest.raises(ItemNotInListError) as exc_info:
+        POLICIES[name].step(ListState((1, 2, 3)), 9)
+    assert exc_info.value.item == 9
+    assert exc_info.value.request_index is None
 
 
 def test_trans_step_on_tail_item():
@@ -81,13 +115,6 @@ def test_fc_preseeded_counters_control_placement():
     policy = FrequencyCount(counters={1: 5, 2: 0, 3: 0})
     outcome = policy.step(ListState((1, 2, 3)), 3, CostModel.FULL)
     assert outcome.new_state.order == (1, 3, 2)
-
-
-def test_fc_rejects_bad_counters():
-    with pytest.raises(InvalidParameterError):
-        FrequencyCount(counters={1: -1})
-    with pytest.raises(InvalidParameterError):
-        FrequencyCount(counters={1: 1.5})
 
 
 def test_serve_trans_one_ascending_pass():
@@ -157,10 +184,18 @@ def test_policy_kind_labels():
 @settings(max_examples=60)
 def test_serve_equals_folded_steps(name, inst):
     state, requests = inst
-    ledger = serve(POLICIES[name], state, explicit_sequence(requests))
-    total, final = fold_steps(POLICIES[name], state, requests)
-    assert ledger.grand_total == total
-    assert ledger.final_state == final
+    seq = explicit_sequence(requests)
+    for model in CostModel:
+        ledger = serve(POLICIES[name], state, seq, model)
+        costs, final, policy = fold_steps(POLICIES[name], state, requests, model)
+        oracle_costs, trace = reference.run(name, list(state.order), list(requests), model.value)
+        assert ledger.per_request == costs == tuple(oracle_costs)
+        assert ledger.grand_total == sum(costs)
+        assert ledger.final_state == final
+        if requests:
+            assert final.order == trace[-1]
+        if name == "fc":
+            assert all(policy.counter(x) == requests.count(x) for x in state.order)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
@@ -191,11 +226,39 @@ def test_partial_cost_is_full_minus_request_count(name, inst):
 @given(inst=instance())
 @settings(max_examples=40)
 def test_no_paid_exchanges_are_charged(name, inst):
-    # All three rules only ever move the accessed item forward, which
-    # is free under the full model.
+    # All three rules only ever move the accessed item forward, which is
+    # free under the full model: every other item keeps its relative order.
     state, requests = inst
-    ledger = serve(POLICIES[name], state, explicit_sequence(requests))
-    assert ledger.paid_exchange_total == 0
+    policy = POLICIES[name]
+    for item in requests:
+        outcome = policy.step(state, item)
+        before, after = state.order, outcome.new_state.order
+        assert after.index(item) <= before.index(item)
+        assert [x for x in after if x != item] == [x for x in before if x != item]
+        state, policy = outcome.new_state, outcome.new_policy
+
+
+@st.composite
+def passes(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    perm = draw(st.permutations(list(range(1, n + 1))))
+    pass_length = draw(st.integers(min_value=1, max_value=4))
+    m = pass_length * draw(st.integers(min_value=0, max_value=5))
+    requests = draw(st.lists(st.sampled_from(perm), min_size=m, max_size=m))
+    return ListState(tuple(perm)), explicit_sequence(requests, pass_length=pass_length)
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@given(inst=passes())
+@settings(max_examples=40)
+def test_serve_snapshots_are_valid_states(name, inst):
+    # serve builds its snapshots without re-validating them; each must
+    # still be exactly what the validating constructor would build.
+    state, seq = inst
+    ledger = serve(POLICIES[name], state, seq)
+    for snapshot in ledger.pass_end_configs + (ledger.final_state,):
+        assert snapshot == ListState(tuple(snapshot.order))
+        assert type(snapshot.order) is tuple
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
