@@ -2,8 +2,9 @@
 transpose on the two repeated-permutation families, under the full cost
 model.
 
-Every evaluator works in exact rational arithmetic and asserts that the
-result is an integer before returning it; nothing is ever rounded. The
+Every evaluator works in exact integer arithmetic: each case is an
+integer numerator over 2 or 8, and the division is checked to leave no
+remainder before the quotient is returned; nothing is ever rounded. The
 transpose/t1 evaluator dispatches on the parity of n and on whether k is
 past the saturation threshold (n/2 passes for even n, (n-1)/2 for odd n)
 after which the per-pass cost stops growing.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import InvalidParameterError, check_int
 from .seqgen import Family
@@ -53,11 +53,12 @@ class Prediction:
     total: int
 
 
-def _exact_int(value: Fraction, context: str) -> int:
+def _exact_int(numerator: int, denominator: int, context: str) -> int:
     # Integrality is provable for every case; a trip here is a bug.
-    if value.denominator != 1:
-        raise ArithmeticError(f"{context} evaluated to non-integer {value}")
-    return int(value)
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{context} evaluated to non-integer {numerator}/{denominator}")
+    return quotient
 
 
 def mtf_t1(n: int, k: int) -> Prediction:
@@ -68,7 +69,7 @@ def mtf_t1(n: int, k: int) -> Prediction:
     """
     check_int(n, "n")
     check_int(k, "k")
-    total = _exact_int(Fraction(n * n * (2 * k - 1) + n, 2), "mtf/t1")
+    total = _exact_int(n * n * (2 * k - 1) + n, 2, "mtf/t1")
     return Prediction(Algorithm.MTF, Family.T1, n, k, "1", total)
 
 
@@ -96,21 +97,17 @@ def trans_t1(n: int, k: int) -> Prediction:
     """
     check_int(n, "n")
     check_int(k, "k")
-    if n % 2 == 0:
-        if k <= n // 2:
-            case_id = "3.1a"
-            total = Fraction(k * (n * n + n + k - 1), 2)
-        else:
-            case_id = "3.1b"
-            total = Fraction(n * n + 2 * n, 2) * Fraction(4 * k - 1, 4)
+    if k <= n // 2:  # the threshold: n/2 for even n, (n-1)/2 for odd n
+        case_id = "3.1a"
+        numerator, denominator = k * (n * n + n + k - 1), 2
+    elif n % 2 == 0:
+        case_id = "3.1b"
+        numerator, denominator = (n * n + 2 * n) * (4 * k - 1), 8
     else:
-        if k <= (n - 1) // 2:
-            case_id = "3.1a"
-            total = Fraction(k * (n * n + n + k - 1), 2)
-        else:
-            case_id = "3.1c"
-            total = Fraction(k * (n * n + 2 * n - 1), 2) - Fraction(n * n - 1, 8)
-    return Prediction(Algorithm.TRANS, Family.T1, n, k, case_id, _exact_int(total, "trans/t1"))
+        case_id = "3.1c"
+        numerator, denominator = 4 * k * (n * n + 2 * n - 1) - (n * n - 1), 8
+    total = _exact_int(numerator, denominator, "trans/t1")
+    return Prediction(Algorithm.TRANS, Family.T1, n, k, case_id, total)
 
 
 def trans_t2(n: int, k: int) -> Prediction:
@@ -123,11 +120,12 @@ def trans_t2(n: int, k: int) -> Prediction:
     check_int(k, "k")
     if n % 2 == 0:
         case_id = "3.2a"
-        total = Fraction(k * (n * n + 2 * n), 2)
+        numerator = k * (n * n + 2 * n)
     else:
         case_id = "3.2b"
-        total = k * (Fraction(n * n + 2 * n - 3, 2) + 1)
-    return Prediction(Algorithm.TRANS, Family.T2, n, k, case_id, _exact_int(total, "trans/t2"))
+        numerator = k * (n * n + 2 * n - 1)  # 2k * ((n^2 + 2n - 3)/2 + 1)
+    total = _exact_int(numerator, 2, "trans/t2")
+    return Prediction(Algorithm.TRANS, Family.T2, n, k, case_id, total)
 
 
 _EVALUATORS = {

@@ -106,7 +106,7 @@ class CostLedger:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_request", tuple(self.per_request))
-        if any(c < 0 for c in self.per_request):
+        if min(self.per_request, default=0) < 0:
             raise InvalidParameterError("per-request costs must be nonnegative")
         if self.access_total != sum(self.per_request):
             raise InvalidParameterError(

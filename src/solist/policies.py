@@ -173,38 +173,69 @@ def serve(
     verification grids stay fast. When ``sequence`` declares a pass
     structure, the ledger also records per-pass subtotals and the
     configuration snapshot at every pass boundary.
+
+    When every pass requests the same block, a pass is a fixed map of the
+    list state, so once a pass-end state repeats, the passes since its
+    first occurrence repeat forever. ``serve`` then copies that cycle's
+    costs and snapshots into the remaining passes instead of simulating
+    them. The result is the same ledger, request for request.
     """
     if not isinstance(model, CostModel):
         raise InvalidParameterError(f"unknown cost model {model!r}")
     requests = sequence.requests
     order = list(initial.order)
-    advance, _ = policy._start_run(initial)
+    advance, counts = policy._start_run(initial)
     partial = model is CostModel.PARTIAL
-
+    # A sequence without a pass structure is served as a single pass.
+    pass_len = sequence.pass_length or len(requests) or 1
+    num_passes = len(requests) // pass_len
+    block = requests[:pass_len]
+    periodic = all(
+        requests[start:start + pass_len] == block
+        for start in range(pass_len, len(requests), pass_len)
+    )
+    # Pass-end state -> index of the first pass that ended in it. For fc
+    # the state includes the counters less their minimum: the rule only
+    # compares counters, so a common offset does not change what it does.
+    seen: dict = {}
     per_request: list[int] = []
-    pass_len = sequence.pass_length
-    pass_totals: list[int] | None = [] if pass_len else None
-    pass_configs: list[ListState] | None = [] if pass_len else None
-    pass_acc = 0
-
-    for index, item in enumerate(requests):
-        try:
-            pos = advance(order, item)
-        except (ValueError, KeyError):
-            raise ItemNotInListError(item, request_index=index) from None
-        cost = pos - 1 if partial else pos
-        per_request.append(cost)
-        if pass_len:
-            pass_acc += cost
-            if (index + 1) % pass_len == 0:
-                pass_totals.append(pass_acc)
-                pass_configs.append(ListState._unchecked(tuple(order)))
-                pass_acc = 0
-
+    pass_totals: list[int] = []
+    pass_configs: list[ListState] = []
+    for p in range(num_passes):
+        if not periodic:
+            block = requests[p * pass_len:(p + 1) * pass_len]
+        total = 0
+        for item in block:
+            try:
+                pos = advance(order, item)
+            except (ValueError, KeyError):
+                raise ItemNotInListError(item, request_index=len(per_request)) from None
+            cost = pos - 1 if partial else pos
+            per_request.append(cost)
+            total += cost
+        pass_totals.append(total)
+        config = tuple(order)
+        pass_configs.append(ListState._unchecked(config))
+        if not periodic:
+            continue
+        if counts is None:
+            key = config
+        else:
+            low = min(counts.values())
+            key = (config, tuple(counts[item] - low for item in config))
+        first = seen.setdefault(key, p)
+        if first != p:
+            # Passes first+1..p form a cycle; replay it for the rest.
+            cycles, extra = divmod(num_passes - p - 1, p - first)
+            for done, width in ((per_request, pass_len), (pass_totals, 1), (pass_configs, 1)):
+                cycle = done[(first + 1) * width:]
+                done += cycle * cycles + cycle[:extra * width]
+            break
+    has_passes = bool(sequence.pass_length)
     return CostLedger(
         per_request=tuple(per_request),
-        access_total=sum(per_request),
-        final_state=ListState._unchecked(tuple(order)),
-        pass_totals=tuple(pass_totals) if pass_totals is not None else None,
-        pass_end_configs=tuple(pass_configs) if pass_configs is not None else None,
+        access_total=sum(pass_totals),
+        final_state=pass_configs[-1] if pass_configs else initial,
+        pass_totals=tuple(pass_totals) if has_passes else None,
+        pass_end_configs=tuple(pass_configs) if has_passes else None,
     )

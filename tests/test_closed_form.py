@@ -18,11 +18,13 @@ from solist import (
     gen_t2,
     mtf_t1,
     mtf_t2,
+    per_pass_profile,
     predict,
     serve,
     trans_t1,
     trans_t2,
 )
+from solist.closed_form import _exact_int
 
 ns = st.integers(min_value=1, max_value=400)
 ks = st.integers(min_value=1, max_value=400)
@@ -105,9 +107,15 @@ def test_predict_rejects_unknown_names():
 
 @given(n=ns, k=ks)
 def test_formulas_are_integral(n, k):
-    # The Fraction arithmetic must always land on an integer.
+    # The integer division must never leave a remainder.
     for fn in (mtf_t1, mtf_t2, trans_t1, trans_t2):
         assert isinstance(fn(n, k).total, int)
+
+
+def test_exact_int_rejects_a_remainder():
+    assert _exact_int(24, 8, "case") == 3
+    with pytest.raises(ArithmeticError, match="case evaluated to non-integer 7/2"):
+        _exact_int(7, 2, "case")
 
 
 @given(n=ns, k=st.integers(min_value=1, max_value=399))
@@ -213,3 +221,18 @@ def test_partial_model_shift():
         for k in range(1, 6):
             ledger = serve(Transpose(), ListState.initial(n), gen_t1(n, k), model=CostModel.PARTIAL)
             assert ledger.grand_total == trans_t1(n, k).total - k * n
+
+
+LARGE_K = 10 ** 4
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+@pytest.mark.parametrize("family", [Family.T1, Family.T2])
+def test_formulas_match_long_simulations(algorithm, family):
+    # One long fast-forwarded run per n; its prefix sums are the simulated
+    # totals at every k, checked at both sides of trans's saturation
+    # threshold and at the far end.
+    for n in range(1, 31):
+        costs = per_pass_profile(algorithm, family, n, LARGE_K).pass_costs
+        for k in sorted({1, n // 2, n // 2 + 1, LARGE_K} - {0}):
+            assert sum(costs[:k]) == predict(algorithm, family, n, k).total, (n, k)

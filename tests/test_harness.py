@@ -10,12 +10,15 @@ from solist import (
     crossover,
     expected_pass_costs,
     gen_t1,
+    make_policy,
     per_pass_profile,
     predict,
     serve,
     verify_grid,
 )
+from solist import harness
 from solist.harness import _first_divergence
+from solist.seqgen import GENERATORS
 
 
 def test_single_cell_matches():
@@ -89,6 +92,41 @@ def test_first_divergence_localizes_wrong_pass():
 def test_first_divergence_none_when_consistent():
     ledger = serve(Transpose(), ListState.initial(4), gen_t1(4, 3))
     assert _first_divergence(ledger, Algorithm.TRANS, Family.T1, 4, 3, CostModel.FULL) is None
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+@pytest.mark.parametrize("wrong", [False, True], ids=["true-predictor", "wrong-predictor"])
+def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
+    # verify_grid serves each row once at k_hi and reads each cell off the
+    # prefix of its passes; every cell must match a run of its own.
+    predictor = predict
+    if wrong:
+        # Off by one in the total, and in the last pass of the structural
+        # decomposition, so that every cell names a divergent pass.
+        def predictor(algorithm, family, n, k):
+            true = predict(algorithm, family, n, k)
+            return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+
+        def last_pass_off(algorithm, family, n, k):
+            costs = expected_pass_costs(algorithm, family, n, k)
+            return costs[:-1] + (costs[-1] + 1,)
+
+        monkeypatch.setattr(harness, "expected_pass_costs", last_pass_off)
+
+    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 6), (3, 7), model, predictor)
+    assert len(report.cells) == 2 * 2 * 6 * 5
+    for cell in report.cells:
+        sequence = GENERATORS[cell.family](cell.n, cell.k)
+        ledger = serve(make_policy(cell.algorithm.value), ListState.initial(cell.n), sequence, model)
+        assert cell.simulated == ledger.grand_total
+        assert cell.match is not wrong
+        if wrong:
+            assert cell.first_divergence == (cell.k - 1) * cell.n + 1
+            assert cell.first_divergence == _first_divergence(
+                ledger, cell.algorithm, cell.family, cell.n, cell.k, model
+            )
+        else:
+            assert cell.first_divergence is None
 
 
 def test_verify_grid_rejects_bad_input():

@@ -13,6 +13,7 @@ from solist import (
     MoveToFront,
     Transpose,
     explicit_sequence,
+    gen_perm_power,
     gen_t1,
     gen_t2,
     make_policy,
@@ -312,3 +313,111 @@ def test_step_does_not_mutate_inputs():
     policy.step(state, 4, CostModel.FULL)
     assert state.order == (1, 2, 3, 4)
     assert policy.counter(4) == 0
+
+
+@st.composite
+def perm_powers(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    start = draw(st.permutations(list(range(1, n + 1))))
+    perm = draw(st.permutations(list(range(1, n + 1))))
+    k = draw(st.integers(min_value=0, max_value=3 * n))
+    return ListState(tuple(start)), gen_perm_power(perm, k)
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@given(inst=perm_powers())
+@settings(max_examples=60)
+def test_fast_forward_equals_plain_simulation(name, inst):
+    # A repeated permutation is served with the pass-end fast-forward; the
+    # same requests without a pass structure are simulated one by one.
+    state, seq = inst
+    n = len(state.order)
+    for model in CostModel:
+        ledger = serve(POLICIES[name], state, seq, model)
+        plain = serve(POLICIES[name], state, explicit_sequence(seq.requests), model)
+        assert ledger.per_request == plain.per_request
+        assert ledger.grand_total == plain.grand_total
+        assert ledger.final_state == plain.final_state
+        costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
+        assert ledger.per_request == tuple(costs)
+        assert ledger.pass_totals == tuple(
+            sum(costs[start:start + n]) for start in range(0, len(costs), n)
+        )
+        assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+
+
+def test_serve_fast_forwards_repeating_passes():
+    # mtf on ascending scans reverses the list every pass from the first
+    # on, so every later pass is a replay and shares one snapshot object.
+    ledger = serve(MoveToFront(), ListState.initial(5), gen_t1(5, 6))
+    configs = ledger.pass_end_configs
+    assert configs[0].order == (5, 4, 3, 2, 1)
+    assert all(config is configs[1] for config in configs[1:])
+
+
+def test_fast_forward_replays_a_two_pass_cycle():
+    # Under transpose this block alternates between two pass-end states
+    # from the second pass on; every k cuts the cycle at a different point.
+    start, block = (2, 1, 4, 3), (1, 1, 2, 3, 3, 1, 2)
+    for k in range(1, 10):
+        requests = block * k
+        ledger = serve(Transpose(), ListState(start), explicit_sequence(requests, pass_length=7))
+        costs, trace = reference.run("trans", list(start), list(requests))
+        assert ledger.per_request == tuple(costs)
+        assert ledger.pass_totals == (16, 16, 18, 15, 18, 15, 18, 15, 18)[:k]
+        assert [c.order for c in ledger.pass_end_configs] == trace[6::7]
+        assert ledger.final_state.order == trace[-1]
+
+
+def test_repeated_state_with_different_passes_is_not_replayed():
+    # Two descending passes end in the same state, but the third pass is
+    # ascending: it must be simulated, not copied from the second.
+    for n in (2, 3, 6):
+        down, up = tuple(range(n, 0, -1)), tuple(range(1, n + 1))
+        requests = down + down + up
+        ledger = serve(MoveToFront(), ListState.initial(n), explicit_sequence(requests, pass_length=n))
+        costs, trace = reference.run("mtf", list(range(1, n + 1)), list(requests))
+        assert ledger.per_request == tuple(costs)
+        assert ledger.pass_totals == (n * n, n * n, n * (n + 1) // 2)
+        assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+        assert ledger.final_state.order == trace[-1]
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@pytest.mark.parametrize(
+    "requests, pass_length, index",
+    [((1, 9) * 3, 2, 1), ((1, 2, 3) * 2 + (1, 9, 3), 3, 7), ((1, 2, 3, 4) * 3, 4, 3)],
+    ids=["periodic", "last-pass", "whole-perm"],
+)
+def test_pass_structure_keeps_missing_item_index(name, requests, pass_length, index):
+    for seq in (explicit_sequence(requests), explicit_sequence(requests, pass_length=pass_length)):
+        with pytest.raises(ItemNotInListError) as exc_info:
+            serve(POLICIES[name], ListState.initial(3), seq)
+        assert exc_info.value.request_index == index
+        assert exc_info.value.item == requests[index]
+
+
+def test_fc_fast_forward_keys_on_counter_gaps():
+    # Item 2 passes item 1 (preseeded at 5) only on its sixth access, while
+    # the arrangement stays (1, 2, 3) until then: the counters, not the
+    # arrangement alone, decide when passes start to repeat.
+    seq = explicit_sequence((2,) * 8, pass_length=1)
+    ledger = serve(FrequencyCount({1: 5}), ListState.initial(3), seq)
+    assert ledger.per_request == (2,) * 6 + (1, 1)
+    assert ledger.final_state.order == (2, 1, 3)
+
+
+@given(
+    inst=instance(max_m=8),
+    k=st.integers(min_value=0, max_value=12),
+    seeds=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6),
+)
+@settings(max_examples=60)
+def test_fc_fast_forward_with_seeded_counters(inst, k, seeds):
+    state, block = inst
+    policy = FrequencyCount(dict(zip(state.order, seeds)))
+    requests = block * k
+    ledger = serve(policy, state, explicit_sequence(requests, pass_length=max(len(block), 1)))
+    plain = serve(policy, state, explicit_sequence(requests))
+    assert ledger.per_request == plain.per_request
+    assert ledger.final_state == plain.final_state
