@@ -29,6 +29,9 @@ __all__ = [
 
 # In-place advance function used by serve's inner loop: moves the item
 # inside a working list and returns its 1-based pre-access position.
+# A closure is bound to the one working list that holds the state given
+# to ``_start_run``: transpose keeps a map of positions in that list, so
+# it finds an item in O(1); move-to-front and frequency count scan to it.
 _Advance = Callable[[list, int], int]
 
 
@@ -60,7 +63,7 @@ class Policy:
         advance, counts = self._start_run(state)
         try:
             pos = advance(order, item)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ItemNotInListError(item) from None
         cost = pos - 1 if model is CostModel.PARTIAL else pos
         new_policy = self if counts is None else FrequencyCount(counts)
@@ -88,15 +91,26 @@ class MoveToFront(Policy):
 
 @dataclass(frozen=True)
 class Transpose(Policy):
-    """After accessing an item, swap it with its immediate predecessor."""
+    """After accessing an item, swap it with its immediate predecessor.
+
+    A run keeps a map from each item to its 0-based index in the working
+    list, so an access costs O(1) rather than a scan to the item: the swap
+    changes the index of exactly two items.
+    """
 
     kind = "trans"
 
     def _start_run(self, initial: ListState) -> tuple[_Advance, None]:
+        where = {member: index for index, member in enumerate(initial.order)}
+
         def advance(order: list, item: int) -> int:
-            pos = order.index(item)
+            pos = where[item]
             if pos:
-                order[pos - 1], order[pos] = order[pos], order[pos - 1]
+                ahead = order[pos - 1]
+                order[pos - 1] = item
+                order[pos] = ahead
+                where[item] = pos - 1
+                where[ahead] = pos
             return pos + 1
 
         return advance, None

@@ -108,15 +108,26 @@ GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
 # a '#' starts a comment that runs to the end of the line.
 
 def _tokenize(text: str) -> list[int]:
-    values = []
+    # Line by line, so that only one line's token strings exist at a time.
+    values: list[int] = []
     for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for token in line.replace(",", " ").split():
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise ParseError(f"expected an integer, got {token!r}") from None
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.replace(",", " ").split()
+        try:
+            values += map(int, tokens)
+        except ValueError:
+            # Redo the line one token at a time: the first bad one raises
+            # a ParseError that names it.
+            values += map(_parse_int, tokens)
     return values
+
+
+def _parse_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}") from None
 
 
 def _contentful_lines(text: str) -> list[str]:

@@ -157,13 +157,15 @@ def test_serve_rejects_unknown_model():
         serve(MoveToFront(), ListState.initial(3), gen_t1(3, 1), model="half")
 
 
-def test_serve_reports_missing_item_with_request_index():
-    seq = explicit_sequence((1, 2, 9))
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_serve_reports_missing_item_with_request_index(name):
+    # The missing item comes mid-stream, after requests that moved items.
+    seq = explicit_sequence((3, 2, 3, 9, 1, 2))
     with pytest.raises(ItemNotInListError) as exc_info:
-        serve(MoveToFront(), ListState.initial(3), seq)
+        serve(POLICIES[name], ListState.initial(3), seq)
     assert exc_info.value.item == 9
-    assert exc_info.value.request_index == 2
-    assert "request 2" in str(exc_info.value)
+    assert exc_info.value.request_index == 3
+    assert "request 3" in str(exc_info.value)
 
 
 def test_make_policy_accepts_known_names():
@@ -421,3 +423,41 @@ def test_fc_fast_forward_with_seeded_counters(inst, k, seeds):
     plain = serve(policy, state, explicit_sequence(requests))
     assert ledger.per_request == plain.per_request
     assert ledger.final_state == plain.final_state
+
+
+@st.composite
+def sparse_ids(draw, max_n=40, max_m=200):
+    # Distinct ids drawn from a wide range, none of them 1..n and most of
+    # them above 256, so a kernel cannot lean on an item being its own
+    # index or on small ints being shared objects.
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ids = draw(st.lists(st.integers(min_value=n + 1, max_value=10**9), min_size=n, max_size=n, unique=True))
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    requests = draw(st.lists(st.sampled_from(ids), min_size=m, max_size=m))
+    perm = draw(st.permutations(list(range(1, n + 1))))
+    return ListState(tuple(ids)), tuple(requests), perm
+
+
+@given(inst=sparse_ids())
+@settings(max_examples=80)
+def test_trans_position_map_with_sparse_ids(inst):
+    state, requests, perm = inst
+    n = len(state.order)
+    # The same ids requested as a repeated permutation: serve keys its
+    # fast-forward on the configuration the position map keeps in step.
+    k = max(1, len(requests) // n)
+    repeated = tuple(state.order[i - 1] for i in gen_perm_power(perm, k).requests)
+    for seq in (explicit_sequence(requests), explicit_sequence(repeated, pass_length=n)):
+        for model in CostModel:
+            ledger = serve(Transpose(), state, seq, model)
+            costs, final, _ = fold_steps(Transpose(), state, seq.requests, model)
+            oracle_costs, trace = reference.run("trans", list(state.order), list(seq.requests), model.value)
+            assert ledger.per_request == costs == tuple(oracle_costs)
+            assert ledger.access_total == ledger.grand_total == sum(costs)
+            assert ledger.final_state == final
+            assert final.order == (trace[-1] if trace else state.order)
+            if seq.pass_length:
+                assert ledger.pass_totals == tuple(
+                    sum(costs[start:start + n]) for start in range(0, len(costs), n)
+                )
+                assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]

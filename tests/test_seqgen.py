@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from solist import (
     Family,
@@ -14,6 +14,7 @@ from solist import (
     parse_list_file,
     parse_sequence_file,
 )
+from solist.seqgen import _tokenize
 
 
 def test_gen_t1_small():
@@ -142,3 +143,38 @@ def test_family_values_round_trip():
     assert Family("T1") is Family.T1
     assert Family("T2") is Family.T2
     assert list(Family) == [Family.T1, Family.T2]
+
+
+def tokenize_line_by_line(text):
+    # Reference tokenizer: every line on its own, its comment cut off,
+    # each token converted and checked in turn.
+    values = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        for token in line.replace(",", " ").split():
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ParseError(f"expected an integer, got {token!r}") from None
+    return values
+
+
+_PIECES = st.one_of(
+    st.integers(min_value=-3, max_value=10**12).map(str),
+    st.sampled_from(["+7", "1_000", "\u0663", "x", "1.5", "--2", "#", "# 4 y"]),
+    st.sampled_from([" ", ",", ", ", "\n", "\r\n", "\r", "\t", "\x0b", "\x0c", "\u2028", "\x85"]),
+)
+
+
+@given(pieces=st.lists(_PIECES, max_size=30))
+@settings(max_examples=300)
+def test_tokenize_matches_line_by_line(pieces):
+    text = "".join(pieces)
+    try:
+        expected = tokenize_line_by_line(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as exc_info:
+            _tokenize(text)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert _tokenize(text) == expected
