@@ -27,12 +27,41 @@ __all__ = [
     "serve",
 ]
 
-# In-place advance function used by serve's inner loop: moves the item
-# inside a working list and returns its 1-based pre-access position.
-# A closure is bound to the one working list that holds the state given
-# to ``_start_run``: transpose keeps a map of positions in that list, so
-# it finds an item in O(1); move-to-front and frequency count scan to it.
-_Advance = Callable[[list, int], int]
+# A run of a rule owns its working arrangement. ``_start_run`` returns
+#   advance(item) -> the item's 1-based position before the access, after
+#       which the rule has reorganized the arrangement;
+#   arrangement() -> the current arrangement as a tuple of items;
+#   counters() -> {item: counter}, for frequency count only (None otherwise).
+# An item not in the list makes advance raise KeyError.
+_Advance = Callable[[int], int]
+_Run = tuple[_Advance, Callable[[], tuple], Callable[[], dict] | None]
+
+# Move-to-front and frequency count hold the arrangement as a str in which
+# each item is a token: chr(its index in the initial order). Finding an
+# item is then ``str.find``, a memchr-style scan in C. Lists with more
+# items than there are code points get two-code-point tokens, a high one
+# from [_LOW, 0x110000) then a low one from [0, _LOW), so a token can only
+# match where an item starts. The kernels take the width as data.
+_ONE_CODE_POINT_ITEMS = 0x110000
+_LOW = 0x400
+
+
+def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, Callable[[str], tuple]]:
+    """Return the map from each item of ``order`` to its token, the token
+    width, and the function that decodes a str of tokens into items."""
+    n = len(order)
+    if n <= _ONE_CODE_POINT_ITEMS:
+        tokens, width = map(chr, range(n)), 1
+    else:
+        tokens, width = (chr(_LOW + i // _LOW) + chr(i % _LOW) for i in range(n)), 2
+    token_of = dict(zip(order, tokens))
+    item_of = dict(zip(token_of.values(), order))
+
+    def decode(s: str) -> tuple:
+        # Cut s into width-long tokens and map each back to its item.
+        return tuple(map(item_of.__getitem__, map("".join, zip(*[iter(s)] * width))))
+
+    return token_of, width, decode
 
 
 @dataclass(frozen=True)
@@ -50,60 +79,71 @@ class Policy:
     """Base class for reorganization rules. Policies are immutable values;
     stateful rules (frequency count) return an updated copy from ``step``.
 
-    A rule is defined once, by ``_start_run``: it returns the in-place
-    advance function plus, for rules that keep counters, the counter dict
-    that advance updates. ``step`` and ``serve`` are both built on it.
+    A rule is defined once, by ``_start_run``: it starts a run from a
+    state and returns the run's advance function, a way to read its
+    arrangement and, for rules that keep counters, a way to read them.
+    ``step`` and ``serve`` are both built on it.
     """
 
     kind: str = ""
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
-        order = list(state.order)
-        advance, counts = self._start_run(state)
+        advance, arrangement, counters = self._start_run(state)
         try:
-            pos = advance(order, item)
-        except (ValueError, KeyError):
+            pos = advance(item)
+        except KeyError:
             raise ItemNotInListError(item) from None
         cost = pos - 1 if model is CostModel.PARTIAL else pos
-        new_policy = self if counts is None else FrequencyCount(counts)
-        return AccessOutcome(cost, ListState._unchecked(tuple(order)), new_policy)
+        new_policy = self if counters is None else FrequencyCount(counters())
+        return AccessOutcome(cost, ListState._unchecked(arrangement()), new_policy)
 
-    def _start_run(self, initial: ListState) -> tuple[_Advance, dict[int, int] | None]:
+    def _start_run(self, initial: ListState) -> _Run:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class MoveToFront(Policy):
-    """After accessing an item, move it to the front of the list."""
+    """After accessing an item, move it to the front of the list.
+
+    A run holds the arrangement as a str of one token per item, so an
+    access is one ``str.find`` for the item's token and one re-slice that
+    puts the token first.
+    """
 
     kind = "mtf"
 
-    def _start_run(self, initial: ListState) -> tuple[_Advance, None]:
-        def advance(order: list, item: int) -> int:
-            pos = order.index(item)
-            if pos:
-                order.insert(0, order.pop(pos))
-            return pos + 1
+    def _start_run(self, initial: ListState) -> _Run:
+        token_of, width, decode = _encode(initial.order)
+        s = "".join(token_of.values())
 
-        return advance, None
+        def advance(item: int) -> int:
+            nonlocal s
+            token = token_of[item]
+            at = s.find(token)
+            if at:
+                s = token + s[:at] + s[at + width:]
+            return at // width + 1
+
+        return advance, lambda: decode(s), None
 
 
 @dataclass(frozen=True)
 class Transpose(Policy):
     """After accessing an item, swap it with its immediate predecessor.
 
-    A run keeps a map from each item to its 0-based index in the working
-    list, so an access costs O(1) rather than a scan to the item: the swap
-    changes the index of exactly two items.
+    A run keeps its working list and a map from each item to its 0-based
+    index in it, so an access costs O(1) rather than a scan to the item:
+    the swap changes the index of exactly two items.
     """
 
     kind = "trans"
 
-    def _start_run(self, initial: ListState) -> tuple[_Advance, None]:
-        where = {member: index for index, member in enumerate(initial.order)}
+    def _start_run(self, initial: ListState) -> _Run:
+        order = list(initial.order)
+        where = {member: index for index, member in enumerate(order)}
 
-        def advance(order: list, item: int) -> int:
+        def advance(item: int) -> int:
             pos = where[item]
             if pos:
                 ahead = order[pos - 1]
@@ -113,7 +153,7 @@ class Transpose(Policy):
                 where[ahead] = pos
             return pos + 1
 
-        return advance, None
+        return advance, lambda: tuple(order), None
 
 
 @dataclass(frozen=True)
@@ -126,6 +166,11 @@ class FrequencyCount(Policy):
     predecessor with a counter greater than or equal to its own. Ties are
     therefore stable: among equal counters the earlier-promoted item keeps
     its position.
+
+    A run holds the arrangement as a str of one token per item, and the
+    counters in a list in the same order: an access finds the item with
+    ``str.find``, walks back over the counters of its predecessors, and
+    re-slices the str once to move the item.
     """
 
     kind = "fc"
@@ -139,21 +184,30 @@ class FrequencyCount(Policy):
     def counter(self, item: int) -> int:
         return self.counters.get(item, 0)
 
-    def _start_run(self, initial: ListState) -> tuple[_Advance, dict[int, int]]:
-        counts = {member: self.counters.get(member, 0) for member in initial.order}
+    def _start_run(self, initial: ListState) -> _Run:
+        token_of, width, decode = _encode(initial.order)
+        s = "".join(token_of.values())
+        along = [self.counters.get(item, 0) for item in initial.order]
 
-        def advance(order: list, item: int) -> int:
-            src = order.index(item)
-            c = counts[item] + 1
-            counts[item] = c
-            dest = src
-            while dest > 0 and counts[order[dest - 1]] < c:
+        def advance(item: int) -> int:
+            nonlocal s
+            token = token_of[item]
+            at = s.find(token)
+            pos = at // width
+            c = along[pos] + 1
+            dest = pos
+            while dest and along[dest - 1] < c:
                 dest -= 1
-            if dest != src:
-                order.insert(dest, order.pop(src))
-            return src + 1
+            if dest == pos:
+                along[pos] = c
+            else:
+                del along[pos]
+                along.insert(dest, c)
+                cut = dest * width
+                s = s[:cut] + token + s[cut:at] + s[at + width:]
+            return pos + 1
 
-        return advance, counts
+        return advance, lambda: decode(s), lambda: dict(zip(decode(s), along))
 
 
 _FACTORIES = {
@@ -197,8 +251,7 @@ def serve(
     if not isinstance(model, CostModel):
         raise InvalidParameterError(f"unknown cost model {model!r}")
     requests = sequence.requests
-    order = list(initial.order)
-    advance, counts = policy._start_run(initial)
+    advance, arrangement, counters = policy._start_run(initial)
     partial = model is CostModel.PARTIAL
     # A sequence without a pass structure is served as a single pass.
     pass_len = sequence.pass_length or len(requests) or 1
@@ -221,20 +274,21 @@ def serve(
         total = 0
         for item in block:
             try:
-                pos = advance(order, item)
-            except (ValueError, KeyError):
+                pos = advance(item)
+            except KeyError:
                 raise ItemNotInListError(item, request_index=len(per_request)) from None
             cost = pos - 1 if partial else pos
             per_request.append(cost)
             total += cost
         pass_totals.append(total)
-        config = tuple(order)
+        config = arrangement()
         pass_configs.append(ListState._unchecked(config))
         if not periodic:
             continue
-        if counts is None:
+        if counters is None:
             key = config
         else:
+            counts = counters()
             low = min(counts.values())
             key = (config, tuple(counts[item] - low for item in config))
         first = seen.setdefault(key, p)

@@ -93,8 +93,11 @@ def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
 def explicit_sequence(items: Iterable[int], pass_length: int | None = None) -> RequestSequence:
     """Wrap a literal request stream, optionally declaring a pass structure."""
     items = tuple(items)
-    for item in items:
-        check_int(item, "each request")
+    # Check the whole stream in C first; only if that fails, check item by
+    # item, so that the error names the first bad request.
+    if not (set(map(type, items)) <= {int} and min(items, default=1) >= 1):
+        for item in items:
+            check_int(item, "each request")
     return RequestSequence(items, pass_length=pass_length)
 
 

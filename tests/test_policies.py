@@ -1,6 +1,8 @@
 """Policy behaviour, checked three ways: frozen examples, a naive
 independent oracle, and the pure step/serve equivalence."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from solist import (
     make_policy,
     serve,
 )
+from solist import policies
 
 import reference
 
@@ -461,3 +464,77 @@ def test_trans_position_map_with_sparse_ids(inst):
                     sum(costs[start:start + n]) for start in range(0, len(costs), n)
                 )
                 assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+
+
+def fc_by_definition(order, counters, requests, model):
+    """Frequency count as its docstring states it, from any counters:
+    rebuild the list with the item moved past the run of predecessors
+    whose counters are strictly smaller than its new counter."""
+    order, counters = list(order), dict(counters)
+    costs, trace = [], []
+    for item in requests:
+        costs.append(reference.walk_cost(order, item, model.value))
+        at = order.index(item)
+        counters[item] = counters.get(item, 0) + 1
+        ahead = order[:at]
+        while ahead and counters.get(ahead[-1], 0) < counters[item]:
+            ahead.pop()
+        order = ahead + [item] + [x for x in order[len(ahead):] if x != item]
+        trace.append(tuple(order))
+    return costs, trace, counters
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("name", ["mtf", "fc"])
+@given(inst=sparse_ids(), seeds=st.lists(st.integers(min_value=0, max_value=3), min_size=40, max_size=40))
+@settings(max_examples=50)
+def test_scan_kernels_with_sparse_ids(name, width, inst, seeds):
+    # Ids above 0x10FFFF cannot be confused with the code points that
+    # stand for them. Width 2 lowers the one-code-point limit so that
+    # small lists take the two-code-point tokens of very long ones.
+    state, requests, perm = inst
+    n = len(state.order)
+    k = max(1, len(requests) // n)
+    repeated = tuple(state.order[i - 1] for i in gen_perm_power(perm, k).requests)
+    if name == "mtf":
+        rules = [MoveToFront()]
+    else:
+        # Seeded counters are in no particular order along the list, so the
+        # rule can move an item past some but not all smaller counters.
+        rules = [FrequencyCount(), FrequencyCount(dict(zip(state.order, seeds)))]
+    limit = policies._ONE_CODE_POINT_ITEMS if width == 1 else 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policies, "_ONE_CODE_POINT_ITEMS", limit)
+        assert policies._encode(state.order)[1] == (width if n > 2 else 1)
+        for policy, seq, model in itertools.product(
+            rules, (explicit_sequence(requests), explicit_sequence(repeated, pass_length=n)), CostModel
+        ):
+            ledger = serve(policy, state, seq, model)
+            costs, final, after = fold_steps(policy, state, seq.requests, model)
+            if name == "fc" and policy.counters:
+                # reference.run starts frequency count from zero counters.
+                oracle_costs, trace, counters = fc_by_definition(state.order, policy.counters, seq.requests, model)
+                assert all(after.counter(item) == counters[item] for item in state.order)
+            else:
+                oracle_costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
+            assert ledger.per_request == costs == tuple(oracle_costs)
+            assert ledger.access_total == ledger.grand_total == sum(costs)
+            assert ledger.final_state == final
+            assert final.order == (trace[-1] if trace else state.order)
+            if seq.pass_length:
+                assert ledger.pass_totals == tuple(
+                    sum(costs[start:start + n]) for start in range(0, len(costs), n)
+                )
+                assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+
+
+@pytest.mark.parametrize("name", ["mtf", "fc"])
+def test_two_code_point_tokens_report_missing_item(name, monkeypatch):
+    monkeypatch.setattr(policies, "_ONE_CODE_POINT_ITEMS", 2)
+    state = ListState((7, 3, 10**9, 5))
+    assert policies._encode(state.order)[1] == 2
+    seq = explicit_sequence((5, 10**9, 5, 3, 4, 7))
+    with pytest.raises(ItemNotInListError) as exc_info:
+        serve(POLICIES[name], state, seq)
+    assert exc_info.value.item == 4
+    assert exc_info.value.request_index == 4
