@@ -17,8 +17,8 @@ import sys
 from typing import Sequence
 
 from .closed_form import Algorithm, as_family, predict
-from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError
-from .harness import crossover, verify_grid
+from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int
+from .harness import _check_range, crossover, verify_grid
 from .list_core import CostModel, ListState
 from .policies import make_policy, serve
 from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
@@ -140,8 +140,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if ledger.pass_totals is None:
             print("no pass structure declared for this sequence")
         else:
+            # Repeating passes share their snapshot objects: format each once.
+            formatted: dict[int, str] = {}
             for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
-                items = " ".join(str(item) for item in config.order)
+                items = formatted.get(id(config))
+                if items is None:
+                    items = formatted[id(config)] = " ".join(map(str, config.order))
                 print(f"pass {index} cost {cost} config {items}")
     print(f"total {ledger.grand_total}")
     return 0
@@ -205,9 +209,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
     family = as_family(args.seq)
-    k_lo, k_hi = args.k
-    if k_lo < 1 or k_lo > k_hi:
-        raise InvalidParameterError(f"k range must satisfy 1 <= lo <= hi, got {k_lo}..{k_hi}")
+    check_int(args.n, "n")
+    k_lo, k_hi = _check_range(args.k, "k")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -226,9 +229,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     family = as_family(args.seq)
-    n_lo, n_hi = args.n
-    if n_lo < 1 or n_lo > n_hi:
-        raise InvalidParameterError(f"n range must satisfy 1 <= lo <= hi, got {n_lo}..{n_hi}")
+    n_lo, n_hi = _check_range(args.n, "n")
+    check_int(args.kmax, "k_max")
     print("family n k_star")
     for n in range(n_lo, n_hi + 1):
         result = crossover(family, n, args.kmax)
@@ -250,6 +252,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except SolistError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for these parameters", file=sys.stderr)
         return 2
 
 

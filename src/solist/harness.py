@@ -146,16 +146,24 @@ def verify_grid(
                 # The first k passes of a k_hi-pass run are the k-pass run,
                 # so one simulation serves the whole row of k.
                 ledger = _simulate(algorithm, family, n, k_hi, model)
-                simulated = sum(ledger.pass_totals[:k_lo - 1])
+                totals = ledger.pass_totals
+                simulated = totals.total(k_lo - 1)
+                # Pass i's expected cost does not depend on k, so the row's
+                # first divergent request, found once at k_hi, is that of
+                # every mismatched cell whose passes reach it (0: none).
+                row_divergence = None
                 for k in range(k_lo, k_hi + 1):
-                    simulated += ledger.pass_totals[k - 1]
+                    simulated += totals[k - 1]
                     predicted = predictor(algorithm, family, n, k).total
                     if model is CostModel.PARTIAL:
                         predicted -= k * n
                     match = simulated == predicted
                     divergence = None
                     if not match:
-                        divergence = _first_divergence(ledger, algorithm, family, n, k, model)
+                        if row_divergence is None:
+                            row_divergence = _first_divergence(ledger, algorithm, family, n, k_hi, model) or 0
+                        if 0 < row_divergence <= (k - 1) * n + 1:
+                            divergence = row_divergence
                     cells.append(
                         GridCell(algorithm, family, n, k, simulated, predicted, match, divergence)
                     )

@@ -3,17 +3,24 @@ under the full and partial cost models.
 
 Positions are 1-based throughout: the front of the list is position 1.
 A :class:`ListState` is immutable; the reorganization rules that produce
-new arrangements live in :mod:`solist.policies`.
+new arrangements live in :mod:`solist.policies`. A :class:`PeriodicView`
+holds a long sequence that repeats as a head plus one cycle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 from .errors import InvalidParameterError, ItemNotInListError, check_int
 
-__all__ = ["CostModel", "ListState", "CostLedger"]
+__all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
 
 class CostModel(Enum):
@@ -54,6 +61,8 @@ class ListState:
     def initial(cls, n: int) -> "ListState":
         """The canonical starting arrangement (1, 2, ..., n)."""
         check_int(n, "list size")
+        if n > sys.maxsize:
+            raise InvalidParameterError(f"list size must be at most {sys.maxsize}, got {n}")
         return cls._unchecked(tuple(range(1, n + 1)))
 
     @classmethod
@@ -88,6 +97,100 @@ class ListState:
         return pos if model is CostModel.FULL else pos - 1
 
 
+class PeriodicView(Sequence):
+    """A read-only sequence of ``length`` elements: the elements of
+    ``head``, then those of ``cycle`` repeated for as long as it takes.
+
+    It stores only ``head`` and one copy of ``cycle``, so a run of k
+    repeated passes costs memory for its preperiod and one period, not
+    for k passes. ``len`` and indexing are O(1); a slice is returned as a
+    tuple. It compares equal to a tuple of the same elements and to any
+    view of them, however split into head and cycle.
+    """
+
+    __slots__ = ("_head", "_cycle", "_length")
+
+    def __init__(self, head: Sequence = (), cycle: Sequence = (), length: int | None = None) -> None:
+        if length is None:
+            length = len(head)
+        if length < len(head) or (length > len(head) and not cycle):
+            raise InvalidParameterError(
+                f"cannot make {length} elements from a head of {len(head)} and a cycle of {len(cycle)}"
+            )
+        if length > sys.maxsize:
+            raise InvalidParameterError(f"sequence length {length} exceeds the maximum {sys.maxsize}")
+        self._head, self._cycle, self._length = head, cycle, length
+
+    @property
+    def head(self) -> Sequence:
+        return self._head
+
+    @property
+    def cycle(self) -> Sequence:
+        return self._cycle
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(self._length))))
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("sequence index out of range")
+        skip = len(self._head)
+        if index < skip:
+            return self._head[index]
+        return self._cycle[(index - skip) % len(self._cycle)]
+
+    def __iter__(self) -> Iterator:
+        return chain(self._head, islice(itertools.cycle(self._cycle), self._length - len(self._head)))
+
+    def stored(self) -> Iterator:
+        """The elements held in memory that lie within the sequence."""
+        return chain(self._head, islice(self._cycle, self._length - len(self._head)))
+
+    def total(self, stop: int | None = None):
+        """Sum of the first ``stop`` elements (of all of them by default),
+        in O(stored elements) for any ``stop``."""
+        stop = self._length if stop is None else max(0, min(stop, self._length))
+        skip = len(self._head)
+        if stop <= skip:
+            return sum(islice(self._head, stop))
+        cycles, rest = divmod(stop - skip, len(self._cycle))
+        return sum(self._head) + cycles * sum(self._cycle) + sum(islice(self._cycle, rest))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, tuple):
+            return self._length == len(other) and all(map(operator.eq, self, other))
+        if not isinstance(other, PeriodicView):
+            return NotImplemented
+        if self._length != len(other):
+            return False
+        # Past both heads, both repeat with the lcm of their periods, so the
+        # elements up to there decide.
+        stop = max(len(self._head), len(other._head)) + math.lcm(len(self._cycle) or 1, len(other._cycle) or 1)
+        return all(map(operator.eq, islice(self, stop), islice(other, stop)))
+
+    def __hash__(self) -> int:
+        # Equal views agree on their length and on their first elements.
+        return hash((self._length, tuple(islice(self, 16))))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, PeriodicView)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PeriodicView({self._head!r}, {self._cycle!r}, {self._length})"
+
+
+def as_view(values: Sequence) -> PeriodicView:
+    """``values`` as a view: a view unchanged, anything else as a tuple."""
+    return values if isinstance(values, PeriodicView) else PeriodicView(tuple(values))
+
+
 @dataclass(frozen=True)
 class CostLedger:
     """Cost accounting for one served request sequence.
@@ -95,33 +198,35 @@ class CostLedger:
     ``per_request`` holds the access cost of each request in order. When
     the sequence declares a pass structure, ``pass_totals`` and
     ``pass_end_configs`` record the access-cost subtotal and the
-    configuration snapshot at every pass boundary.
+    configuration snapshot at every pass boundary. All three are
+    :class:`PeriodicView` objects, so a ledger of repeating passes holds
+    only the passes before the repetition and one period, and validation
+    reads only what is stored.
     """
 
-    per_request: tuple[int, ...]
+    per_request: PeriodicView
     access_total: int
     final_state: ListState
-    pass_totals: tuple[int, ...] | None = None
-    pass_end_configs: tuple[ListState, ...] | None = None
+    pass_totals: PeriodicView | None = None
+    pass_end_configs: PeriodicView | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_request", tuple(self.per_request))
-        if min(self.per_request, default=0) < 0:
+        for name in ("per_request", "pass_totals", "pass_end_configs"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, as_view(values))
+        if min(self.per_request.stored(), default=0) < 0:
             raise InvalidParameterError("per-request costs must be nonnegative")
-        if self.access_total != sum(self.per_request):
+        if self.access_total != self.per_request.total():
             raise InvalidParameterError(
                 f"access_total {self.access_total} != sum of per-request costs "
-                f"{sum(self.per_request)}"
+                f"{self.per_request.total()}"
             )
-        if self.pass_totals is not None:
-            object.__setattr__(self, "pass_totals", tuple(self.pass_totals))
-            if sum(self.pass_totals) != self.access_total:
-                raise InvalidParameterError(
-                    f"pass totals sum to {sum(self.pass_totals)}, "
-                    f"expected access_total {self.access_total}"
-                )
-        if self.pass_end_configs is not None:
-            object.__setattr__(self, "pass_end_configs", tuple(self.pass_end_configs))
+        if self.pass_totals is not None and self.pass_totals.total() != self.access_total:
+            raise InvalidParameterError(
+                f"pass totals sum to {self.pass_totals.total()}, "
+                f"expected access_total {self.access_total}"
+            )
 
     @property
     def grand_total(self) -> int:

@@ -11,10 +11,11 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Mapping
 
 from .errors import InvalidParameterError, ItemNotInListError, check_int
-from .list_core import CostLedger, CostModel, ListState
+from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .seqgen import RequestSequence
 
 __all__ = [
@@ -242,11 +243,12 @@ def serve(
     structure, the ledger also records per-pass subtotals and the
     configuration snapshot at every pass boundary.
 
-    When every pass requests the same block, a pass is a fixed map of the
-    list state, so once a pass-end state repeats, the passes since its
-    first occurrence repeat forever. ``serve`` then copies that cycle's
-    costs and snapshots into the remaining passes instead of simulating
-    them. The result is the same ledger, request for request.
+    When the sequence is held as repetitions of one block (``gen_t1``,
+    ``gen_t2``, ``gen_perm_power``), a pass is a fixed map of the list
+    state, so once a pass-end state repeats, the passes since its first
+    occurrence repeat forever. ``serve`` stops there: the ledger's views
+    hold the passes before that cycle and one copy of it, and read as the
+    same ledger, request for request, at any number of passes.
     """
     if not isinstance(model, CostModel):
         raise InvalidParameterError(f"unknown cost model {model!r}")
@@ -256,11 +258,8 @@ def serve(
     # A sequence without a pass structure is served as a single pass.
     pass_len = sequence.pass_length or len(requests) or 1
     num_passes = len(requests) // pass_len
-    block = requests[:pass_len]
-    periodic = all(
-        requests[start:start + pass_len] == block
-        for start in range(pass_len, len(requests), pass_len)
-    )
+    block = sequence.block
+    stream = iter(requests)
     # Pass-end state -> index of the first pass that ended in it. For fc
     # the state includes the counters less their minimum: the rule only
     # compares counters, so a common offset does not change what it does.
@@ -268,11 +267,11 @@ def serve(
     per_request: list[int] = []
     pass_totals: list[int] = []
     pass_configs: list[ListState] = []
+    # From pass cycle_start on, the stored passes repeat as one cycle.
+    cycle_start = num_passes
     for p in range(num_passes):
-        if not periodic:
-            block = requests[p * pass_len:(p + 1) * pass_len]
         total = 0
-        for item in block:
+        for item in block if block is not None else islice(stream, pass_len):
             try:
                 pos = advance(item)
             except KeyError:
@@ -283,7 +282,7 @@ def serve(
         pass_totals.append(total)
         config = arrangement()
         pass_configs.append(ListState._unchecked(config))
-        if not periodic:
+        if block is None:
             continue
         if counters is None:
             key = config
@@ -293,17 +292,22 @@ def serve(
             key = (config, tuple(counts[item] - low for item in config))
         first = seen.setdefault(key, p)
         if first != p:
-            # Passes first+1..p form a cycle; replay it for the rest.
-            cycles, extra = divmod(num_passes - p - 1, p - first)
-            for done, width in ((per_request, pass_len), (pass_totals, 1), (pass_configs, 1)):
-                cycle = done[(first + 1) * width:]
-                done += cycle * cycles + cycle[:extra * width]
+            cycle_start = first + 1
             break
+
+    def view(stored: list, width: int = 1) -> PeriodicView:
+        cut = cycle_start * width
+        cycle = tuple(stored[cut:])
+        del stored[cut:]
+        return PeriodicView(tuple(stored), cycle, num_passes * width)
+
     has_passes = bool(sequence.pass_length)
+    totals = view(pass_totals)
+    configs = view(pass_configs)
     return CostLedger(
-        per_request=tuple(per_request),
-        access_total=sum(pass_totals),
-        final_state=pass_configs[-1] if pass_configs else initial,
-        pass_totals=tuple(pass_totals) if has_passes else None,
-        pass_end_configs=tuple(pass_configs) if has_passes else None,
+        per_request=view(per_request, pass_len),
+        access_total=totals.total(),
+        final_state=configs[-1] if num_passes else initial,
+        pass_totals=totals if has_passes else None,
+        pass_end_configs=configs if has_passes else None,
     )

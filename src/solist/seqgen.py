@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_int
-from .list_core import ListState
+from .list_core import ListState, PeriodicView, as_view
 
 __all__ = [
     "Family",
@@ -38,18 +38,21 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class RequestSequence:
-    """A materialized stream of item requests.
+    """A stream of item requests.
 
-    ``pass_length`` is set when the sequence is a whole number of
-    repetitions of an underlying permutation; it turns on per-pass
-    accounting in :func:`solist.policies.serve`.
+    ``requests`` is a :class:`~solist.list_core.PeriodicView`: an explicit
+    stream keeps its tuple as the view's head, and a repeated block is
+    held once, as the view's cycle, however often it repeats (see
+    :meth:`repeat`). ``pass_length`` is set when the sequence is a whole
+    number of repetitions of an underlying permutation; it turns on
+    per-pass accounting in :func:`solist.policies.serve`.
     """
 
-    requests: tuple[int, ...]
+    requests: PeriodicView
     pass_length: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", tuple(self.requests))
+        object.__setattr__(self, "requests", as_view(self.requests))
         if self.pass_length is not None:
             check_int(self.pass_length, "pass_length")
             if len(self.requests) % self.pass_length:
@@ -58,6 +61,22 @@ class RequestSequence:
                     f"pass_length {self.pass_length}"
                 )
 
+    @classmethod
+    def repeat(cls, block: Sequence[int], k: int) -> "RequestSequence":
+        """``block`` requested k times over, one pass per repetition."""
+        check_int(k, "k", minimum=0)
+        block = tuple(block)
+        return cls(PeriodicView((), block, len(block) * k), pass_length=len(block))
+
+    @property
+    def block(self) -> tuple[int, ...] | None:
+        """The block that every pass requests, when the sequence is held as
+        repetitions of one; None otherwise."""
+        requests = self.requests
+        if requests.head or len(requests.cycle) != self.pass_length:
+            return None
+        return requests.cycle
+
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -65,15 +84,13 @@ class RequestSequence:
 def gen_t1(n: int, k: int) -> RequestSequence:
     """(1, 2, ..., n) repeated k times."""
     check_int(n, "n")
-    check_int(k, "k", minimum=0)
-    return RequestSequence(tuple(range(1, n + 1)) * k, pass_length=n)
+    return RequestSequence.repeat(ListState.initial(n).order, k)
 
 
 def gen_t2(n: int, k: int) -> RequestSequence:
     """(n, n-1, ..., 1) repeated k times."""
     check_int(n, "n")
-    check_int(k, "k", minimum=0)
-    return RequestSequence(tuple(range(n, 0, -1)) * k, pass_length=n)
+    return RequestSequence.repeat(ListState.initial(n).order[::-1], k)
 
 
 def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
@@ -82,12 +99,11 @@ def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
     if not perm:
         raise InvalidParameterError("perm must be nonempty")
     n = len(perm)
-    check_int(k, "k", minimum=0)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutationError(
             f"{perm!r} is not a permutation of 1..{n} (duplicate or missing item)"
         )
-    return RequestSequence(perm * k, pass_length=n)
+    return RequestSequence.repeat(perm, k)
 
 
 def explicit_sequence(items: Iterable[int], pass_length: int | None = None) -> RequestSequence:

@@ -326,6 +326,50 @@ def test_crossover_bad_n_range(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crossover", "--seq", "t1", "--n", "1..3", "--kmax", "0"),
+        ("crossover", "--seq", "t1", "--n", "1..3", "--kmax", "-4"),
+        ("crossover", "--seq", "t2", "--n", "3..1", "--kmax", "5"),
+        ("compare", "--seq", "t1", "--n", "0", "--k", "1..3"),
+        ("compare", "--seq", "t1", "--n", "4", "--k", "0..3"),
+        ("compare", "--seq", "t1", "--n", "4", "--k", "3..1"),
+        ("verify", "--n", "1..3", "--k", "0..2"),
+        ("verify", "--n", "3..1", "--k", "1..2"),
+    ],
+    ids=" ".join,
+)
+def test_parameter_errors_print_nothing_to_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("algo", ["mtf", "trans", "fc"])
+@pytest.mark.parametrize(
+    "n, k",
+    [(10**31, 0), (10**31, 1), (10, 10**31), (2, 2**62), (2**63, 1), (10**18, 0)],
+    ids=["huge-n-k0", "huge-n", "huge-k", "length-past-maxsize", "n-past-maxsize", "n-past-memory"],
+)
+def test_simulate_huge_sizes_are_parameter_errors(capsys, algo, n, k):
+    code, out, err = run_cli(capsys, "simulate", "--algo", algo, "--seq", "t1", "--n", str(n), "--k", str(k))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["mtf", "trans", "fc"])
+def test_simulate_a_trillion_passes(capsys, algo):
+    k = 10**12
+    code, out, _ = run_cli(capsys, "simulate", "--algo", algo, "--seq", "t1", "--n", "50", "--k", str(k))
+    assert code == 0
+    expected = k * 50 * 51 // 2 if algo == "fc" else predict(algo, "T1", 50, k).total
+    assert out == f"total {expected}\n"
+
+
 def test_module_entry_point_is_byte_deterministic(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -101,17 +101,19 @@ def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
     # prefix of its passes; every cell must match a run of its own.
     predictor = predict
     if wrong:
-        # Off by one in the total, and in the last pass of the structural
-        # decomposition, so that every cell names a divergent pass.
+        # Off by one in the total, and in pass 3 of the structural
+        # decomposition (the first k of the grid), so that every cell
+        # names a divergent pass. A pass's expected cost must not depend
+        # on k, as in the real decomposition.
         def predictor(algorithm, family, n, k):
             true = predict(algorithm, family, n, k)
             return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
 
-        def last_pass_off(algorithm, family, n, k):
+        def third_pass_off(algorithm, family, n, k):
             costs = expected_pass_costs(algorithm, family, n, k)
-            return costs[:-1] + (costs[-1] + 1,)
+            return costs[:2] + (costs[2] + 1,) + costs[3:]
 
-        monkeypatch.setattr(harness, "expected_pass_costs", last_pass_off)
+        monkeypatch.setattr(harness, "expected_pass_costs", third_pass_off)
 
     report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 6), (3, 7), model, predictor)
     assert len(report.cells) == 2 * 2 * 6 * 5
@@ -121,12 +123,43 @@ def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
         assert cell.simulated == ledger.grand_total
         assert cell.match is not wrong
         if wrong:
-            assert cell.first_divergence == (cell.k - 1) * cell.n + 1
+            assert cell.first_divergence == 2 * cell.n + 1
             assert cell.first_divergence == _first_divergence(
                 ledger, cell.algorithm, cell.family, cell.n, cell.k, model
             )
         else:
             assert cell.first_divergence is None
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+def test_row_divergence_equals_per_cell_recomputation(model, monkeypatch):
+    # verify_grid locates each row's first divergent pass once, at k_hi.
+    # With a decomposition off in pass 4 (the same pass at every k), the
+    # cells up to k = 3 name no pass and those from k = 4 on name pass 4;
+    # each must equal a naive recomputation from a run of its own.
+    def off_by_one(algorithm, family, n, k):
+        true = predict(algorithm, family, n, k)
+        return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+
+    def fourth_pass_off(algorithm, family, n, k):
+        costs = expected_pass_costs(algorithm, family, n, k)
+        return tuple(cost + (index == 3) for index, cost in enumerate(costs))
+
+    monkeypatch.setattr(harness, "expected_pass_costs", fourth_pass_off)
+    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 5), (1, 7), model, off_by_one)
+    assert report.mismatch_count == len(report.cells) == 2 * 2 * 5 * 7
+    for cell in report.cells:
+        sequence = GENERATORS[cell.family](cell.n, cell.k)
+        ledger = serve(make_policy(cell.algorithm.value), ListState.initial(cell.n), sequence, model)
+        expected = fourth_pass_off(cell.algorithm, cell.family, cell.n, cell.k)
+        if model is CostModel.PARTIAL:
+            expected = tuple(cost - cell.n for cost in expected)
+        naive = next(
+            (p * cell.n + 1 for p, (got, want) in enumerate(zip(ledger.pass_totals, expected)) if got != want),
+            None,
+        )
+        assert cell.first_divergence == naive
+        assert cell.first_divergence == (3 * cell.n + 1 if cell.k >= 4 else None)
 
 
 def test_verify_grid_rejects_bad_input():

@@ -10,6 +10,7 @@ from solist import (
     MoveToFront,
     Transpose,
 )
+from solist.list_core import PeriodicView
 
 import reference
 
@@ -140,3 +141,64 @@ def test_ledger_rejects_negative_costs():
             access_total=-1,
             final_state=ListState((1,)),
         )
+
+
+def test_ledger_rejects_negative_costs_in_the_cycle():
+    with pytest.raises(InvalidParameterError):
+        CostLedger(
+            per_request=PeriodicView((3,), (-1,), 4),
+            access_total=0,
+            final_state=ListState((1,)),
+        )
+
+
+@st.composite
+def views(draw):
+    head = tuple(draw(st.lists(st.integers(0, 3), max_size=5)))
+    cycle = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    length = len(head) + (draw(st.integers(0, 12)) if cycle else 0)
+    expanded = head + tuple(cycle[i % len(cycle)] for i in range(length - len(head))) if cycle else head
+    return PeriodicView(head, cycle, length), expanded
+
+
+@given(inst=views(), data=st.data())
+def test_periodic_view_reads_as_its_expansion(inst, data):
+    view, expanded = inst
+    assert len(view) == len(expanded)
+    assert tuple(view) == expanded
+    assert view == expanded and expanded == view
+    assert view != expanded + (9,)
+    assert [view[i] for i in range(-len(expanded), len(expanded))] == list(expanded * 2)
+    for index in (len(expanded), -len(expanded) - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    cut = data.draw(st.slices(len(expanded) + 2))
+    assert view[cut] == expanded[cut]
+    assert view + (7,) == expanded + (7,)
+    assert [view.total(stop) for stop in range(-1, len(expanded) + 2)] == [
+        sum(expanded[:max(stop, 0)]) for stop in range(-1, len(expanded) + 2)
+    ]
+    assert view.total() == sum(expanded)
+    assert sorted(view.stored()) == sorted(view.head + view.cycle[:len(expanded) - len(view.head)])
+    # The same elements split another way: one more element in the head,
+    # the cycle rotated to match.
+    if len(expanded) > len(view.head) and view.cycle:
+        other = PeriodicView(view.head + view.cycle[:1], view.cycle[1:] + view.cycle[:1], len(expanded))
+        assert other == view and hash(other) == hash(view)
+
+
+def test_periodic_views_with_unequal_periods():
+    # (1, 2) and (1, 2, 1) agree on their first three elements and differ
+    # at the fourth, inside their common period of six.
+    assert PeriodicView((), (1, 2), 12) != PeriodicView((), (1, 2, 1), 12)
+    assert PeriodicView((), (1, 2), 12) == PeriodicView((1, 2), (1, 2, 1, 2), 12)
+    assert PeriodicView((), (1, 2), 12) != PeriodicView((), (1, 2), 10)
+
+
+def test_periodic_view_rejects_impossible_shapes():
+    with pytest.raises(InvalidParameterError):
+        PeriodicView((1, 2), (), 3)
+    with pytest.raises(InvalidParameterError):
+        PeriodicView((1, 2), (3,), 1)
+    with pytest.raises(InvalidParameterError):
+        PeriodicView((), (1,), 2**63)

@@ -13,6 +13,7 @@ from solist import (
     ItemNotInListError,
     ListState,
     MoveToFront,
+    RequestSequence,
     Transpose,
     explicit_sequence,
     gen_perm_power,
@@ -366,7 +367,7 @@ def test_fast_forward_replays_a_two_pass_cycle():
     start, block = (2, 1, 4, 3), (1, 1, 2, 3, 3, 1, 2)
     for k in range(1, 10):
         requests = block * k
-        ledger = serve(Transpose(), ListState(start), explicit_sequence(requests, pass_length=7))
+        ledger = serve(Transpose(), ListState(start), RequestSequence.repeat(block, k))
         costs, trace = reference.run("trans", list(start), list(requests))
         assert ledger.per_request == tuple(costs)
         assert ledger.pass_totals == (16, 16, 18, 15, 18, 15, 18, 15, 18)[:k]
@@ -406,7 +407,7 @@ def test_fc_fast_forward_keys_on_counter_gaps():
     # Item 2 passes item 1 (preseeded at 5) only on its sixth access, while
     # the arrangement stays (1, 2, 3) until then: the counters, not the
     # arrangement alone, decide when passes start to repeat.
-    seq = explicit_sequence((2,) * 8, pass_length=1)
+    seq = RequestSequence.repeat((2,), 8)
     ledger = serve(FrequencyCount({1: 5}), ListState.initial(3), seq)
     assert ledger.per_request == (2,) * 6 + (1, 1)
     assert ledger.final_state.order == (2, 1, 3)
@@ -422,7 +423,7 @@ def test_fc_fast_forward_with_seeded_counters(inst, k, seeds):
     state, block = inst
     policy = FrequencyCount(dict(zip(state.order, seeds)))
     requests = block * k
-    ledger = serve(policy, state, explicit_sequence(requests, pass_length=max(len(block), 1)))
+    ledger = serve(policy, state, RequestSequence.repeat(block, k) if block else explicit_sequence(()))
     plain = serve(policy, state, explicit_sequence(requests))
     assert ledger.per_request == plain.per_request
     assert ledger.final_state == plain.final_state
@@ -449,8 +450,8 @@ def test_trans_position_map_with_sparse_ids(inst):
     # The same ids requested as a repeated permutation: serve keys its
     # fast-forward on the configuration the position map keeps in step.
     k = max(1, len(requests) // n)
-    repeated = tuple(state.order[i - 1] for i in gen_perm_power(perm, k).requests)
-    for seq in (explicit_sequence(requests), explicit_sequence(repeated, pass_length=n)):
+    repeated = RequestSequence.repeat([state.order[i - 1] for i in perm], k)
+    for seq in (explicit_sequence(requests), repeated):
         for model in CostModel:
             ledger = serve(Transpose(), state, seq, model)
             costs, final, _ = fold_steps(Transpose(), state, seq.requests, model)
@@ -495,7 +496,7 @@ def test_scan_kernels_with_sparse_ids(name, width, inst, seeds):
     state, requests, perm = inst
     n = len(state.order)
     k = max(1, len(requests) // n)
-    repeated = tuple(state.order[i - 1] for i in gen_perm_power(perm, k).requests)
+    repeated = RequestSequence.repeat([state.order[i - 1] for i in perm], k)
     if name == "mtf":
         rules = [MoveToFront()]
     else:
@@ -507,7 +508,7 @@ def test_scan_kernels_with_sparse_ids(name, width, inst, seeds):
         patch.setattr(policies, "_ONE_CODE_POINT_ITEMS", limit)
         assert policies._encode(state.order)[1] == (width if n > 2 else 1)
         for policy, seq, model in itertools.product(
-            rules, (explicit_sequence(requests), explicit_sequence(repeated, pass_length=n)), CostModel
+            rules, (explicit_sequence(requests), repeated), CostModel
         ):
             ledger = serve(policy, state, seq, model)
             costs, final, after = fold_steps(policy, state, seq.requests, model)

@@ -14,6 +14,7 @@ from solist import (
     parse_list_file,
     parse_sequence_file,
 )
+from solist.list_core import PeriodicView
 from solist.seqgen import _tokenize
 
 
@@ -98,6 +99,18 @@ def test_explicit_sequence_with_declared_passes():
     seq = explicit_sequence((1, 2, 2, 1), pass_length=2)
     assert seq.requests == (1, 2, 2, 1)
     assert seq.pass_length == 2
+
+
+def test_block_is_set_only_for_repetitions_of_one_block():
+    assert gen_t1(3, 4).block == (1, 2, 3)
+    assert gen_t2(3, 0).block == (3, 2, 1)
+    assert gen_perm_power((2, 1, 3), 5).block == (2, 1, 3)
+    assert len(gen_t1(50, 10**12)) == 50 * 10**12
+    assert explicit_sequence((1, 2, 1, 2), pass_length=2).block is None
+    assert explicit_sequence((1, 2)).block is None
+    # A first pass that differs from the repeated ones.
+    assert RequestSequence(PeriodicView((1, 2), (2, 1), 6), pass_length=2).block is None
+    assert RequestSequence(PeriodicView((), (2, 1), 6), pass_length=1).block is None
 
 
 def test_request_sequence_rejects_ragged_passes():
