@@ -6,8 +6,10 @@ Every evaluator works in exact integer arithmetic: each case is an
 integer numerator over 2 or 8, and the division is checked to leave no
 remainder before the quotient is returned; nothing is ever rounded. The
 transpose/t1 evaluator dispatches on the parity of n and on whether k is
-past the saturation threshold (n/2 passes for even n, (n-1)/2 for odd n)
-after which the per-pass cost stops growing.
+past the saturation threshold n // 2 (n/2 passes for even n, (n-1)/2 for
+odd n), after which the per-pass cost stops growing. That threshold is the
+only value of k at which a closed form changes case (``_case_breaks``), and
+each case is a polynomial of degree at most 2 in k.
 
 Case labels: "1" (mtf/t1), "2" (mtf/t2), "3.1a"/"3.1b"/"3.1c"
 (trans/t1: below threshold, past threshold with n even, past threshold
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameterError, check_int
+from .list_core import PeriodicView
 from .seqgen import Family
 
 __all__ = [
@@ -61,6 +64,15 @@ def _exact_int(numerator: int, denominator: int, context: str) -> int:
     return quotient
 
 
+def _case_breaks(algorithm: Algorithm, family: Family, n: int) -> tuple[int, ...]:
+    """The values of k after which the closed form for (algorithm, family,
+    n) changes case: transpose/t1 saturates after n // 2 passes, and every
+    other pair has one case for all k."""
+    if algorithm is Algorithm.TRANS and family is Family.T1:
+        return (n // 2,)
+    return ()
+
+
 def mtf_t1(n: int, k: int) -> Prediction:
     """Move-to-front on the ascending family: (n^2*(2k - 1) + n) / 2.
 
@@ -97,7 +109,8 @@ def trans_t1(n: int, k: int) -> Prediction:
     """
     check_int(n, "n")
     check_int(k, "k")
-    if k <= n // 2:  # the threshold: n/2 for even n, (n-1)/2 for odd n
+    (saturation,) = _case_breaks(Algorithm.TRANS, Family.T1, n)
+    if k <= saturation:
         case_id = "3.1a"
         numerator, denominator = k * (n * n + n + k - 1), 2
     elif n % 2 == 0:
@@ -171,11 +184,14 @@ def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) ->
     return evaluator(n, k)
 
 
-def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> tuple[int, ...]:
+def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PeriodicView:
     """Per-pass decomposition of the predicted total, full cost model.
 
     Sums to ``predict(...).total``; used to localize any disagreement
     between a formula and a simulation down to the first divergent pass.
+    Its head holds the passes before the per-pass cost settles (through
+    transpose/t1's case break) and its cycle the one steady per-pass cost,
+    so it takes O(n) memory at any k.
     """
     algorithm = as_algorithm(algorithm)
     family = as_family(family)
@@ -184,13 +200,13 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     first = n * (n + 1) // 2
     if algorithm is Algorithm.MTF:
         if family is Family.T1:
-            return (first,) + (n * n,) * (k - 1)
-        return (n * n,) * k
+            return PeriodicView((first,), (n * n,), k)
+        return PeriodicView((), (n * n,), k)
     if family is Family.T1:
-        saturation = n // 2 if n % 2 == 0 else (n - 1) // 2
-        return tuple(first + min(i - 1, saturation) for i in range(1, k + 1))
+        (saturation,) = _case_breaks(algorithm, family, n)
+        return PeriodicView(tuple(range(first, first + min(saturation, k))), (first + saturation,), k)
     if n % 2 == 0:
         per_pass = (n * n + 2 * n) // 2
     else:
         per_pass = (n * n + 2 * n - 3) // 2 + 1
-    return (per_pass,) * k
+    return PeriodicView((), (per_pass,), k)

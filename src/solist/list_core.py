@@ -163,15 +163,20 @@ class PeriodicView(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, tuple):
-            return self._length == len(other) and all(map(operator.eq, self, other))
+            other = PeriodicView(other)
         if not isinstance(other, PeriodicView):
             return NotImplemented
-        if self._length != len(other):
-            return False
+        return self._length == len(other) and self.first_difference(other) is None
+
+    def first_difference(self, other: "PeriodicView") -> int | None:
+        """Index of the first element, within the shorter of the two views,
+        at which this view and ``other`` differ, or None. Reads at most the
+        longer head plus the lcm of the two periods."""
         # Past both heads, both repeat with the lcm of their periods, so the
         # elements up to there decide.
         stop = max(len(self._head), len(other._head)) + math.lcm(len(self._cycle) or 1, len(other._cycle) or 1)
-        return all(map(operator.eq, islice(self, stop), islice(other, stop)))
+        differs = map(operator.ne, islice(self, stop), islice(other, stop))
+        return next(itertools.compress(itertools.count(), differs), None)
 
     def __hash__(self) -> int:
         # Equal views agree on their length and on their first elements.

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,17 @@ def test_crossover_single_value_range(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--seq", "t1", "--n", "2", "--kmax", "6")
     assert code == 0
     assert out.splitlines()[1] == "T1 2 none"
+
+
+@pytest.mark.parametrize("seq", ["t1", "t2"])
+def test_crossover_at_a_huge_kmax(capsys, seq):
+    # The search costs a few evaluations per case piece, whatever --kmax is.
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "crossover", "--seq", seq, "--n", "1..3", "--kmax", "9" * 23)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    _, at_200, _ = run_cli(capsys, "crossover", "--seq", seq, "--n", "1..3", "--kmax", "200")
+    assert [line.split()[2] for line in out.splitlines()] == [line.split()[2] for line in at_200.splitlines()]
 
 
 def test_crossover_bad_n_range(capsys):

@@ -1,5 +1,6 @@
 """Formula evaluators, pinned values, and cross-checks against simulation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from solist import (
     trans_t1,
     trans_t2,
 )
-from solist.closed_form import _exact_int
+from solist.closed_form import _case_breaks, _exact_int
 
 ns = st.integers(min_value=1, max_value=400)
 ks = st.integers(min_value=1, max_value=400)
@@ -129,6 +130,53 @@ def test_first_pass_costs_agree_across_evaluators(n):
     # With k=1, both rules pay the same on a given family: the scan cost
     # is fixed by the arrangement, not by how items move afterwards.
     assert mtf_t1(n, 1).total == trans_t1(n, 1).total == n * (n + 1) // 2
+
+
+K_FAR = 10**12
+# Even and odd n, small and large, so that every case, including 3.1a,
+# has intervals with at least four points reaching far in k.
+DEGREE_NS = (1, 2, 3, 8, 9, 10**6, 10**6 + 1, 2 * K_FAR, 2 * K_FAR + 1)
+
+
+def _case_intervals(algorithm, family, n):
+    """The k-intervals within 1..K_FAR on which one case holds."""
+    edges = [0, *(b for b in _case_breaks(algorithm, family, n) if b < K_FAR), K_FAR]
+    return [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+def test_each_case_is_of_degree_at_most_two_in_k():
+    # crossover fits trans - mtf on a case interval from three points, so
+    # each case's total must have vanishing third differences in k there.
+    rng = random.Random(7)
+    seen = set()
+    for algorithm in Algorithm:
+        for family in (Family.T1, Family.T2):
+            for n in DEGREE_NS:
+                for lo, hi in _case_intervals(algorithm, family, n):
+                    if hi - lo < 3:
+                        continue
+                    starts = {lo, hi - 3, *(rng.randint(lo, hi - 3) for _ in range(20))}
+                    for k in starts:
+                        window = [predict(algorithm, family, n, k + i) for i in range(4)]
+                        labels = {p.case_id for p in window}
+                        assert len(labels) == 1, (algorithm, family, n, k, labels)
+                        a, b, c, d = (p.total for p in window)
+                        assert d - 3 * c + 3 * b - a == 0, (algorithm, family, n, k)
+                        seen |= labels
+    assert seen == {"1", "2", "3.1a", "3.1b", "3.1c", "3.2a", "3.2b"}
+
+
+@pytest.mark.parametrize("n", [*range(1, 64), 10**6, 10**6 + 1, 2 * K_FAR, 2 * K_FAR + 1])
+def test_trans_t1_case_changes_exactly_at_its_break(n):
+    (saturation,) = _case_breaks(Algorithm.TRANS, Family.T1, n)
+    past = "3.1b" if n % 2 == 0 else "3.1c"
+    if saturation >= 1:
+        assert trans_t1(n, saturation).case_id == "3.1a"
+    assert trans_t1(n, saturation + 1).case_id == past
+    for k in range(1, min(3 * n, 200)):
+        assert trans_t1(n, k).case_id == ("3.1a" if k <= saturation else past)
+    for algorithm, family in ((Algorithm.MTF, Family.T1), (Algorithm.MTF, Family.T2), (Algorithm.TRANS, Family.T2)):
+        assert _case_breaks(algorithm, family, n) == ()
 
 
 def test_case_boundary_even_n():

@@ -1,4 +1,8 @@
+import time
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solist import (
     Algorithm,
@@ -6,6 +10,8 @@ from solist import (
     Family,
     InvalidParameterError,
     ListState,
+    Prediction,
+    SolistError,
     Transpose,
     crossover,
     expected_pass_costs,
@@ -16,8 +22,11 @@ from solist import (
     serve,
     verify_grid,
 )
-from solist import harness
-from solist.harness import _first_divergence
+from solist import closed_form, harness
+from solist.closed_form import as_family
+from solist.errors import check_int
+from solist.harness import CrossoverResult, _first_divergence
+from solist.list_core import PeriodicView
 from solist.seqgen import GENERATORS
 
 
@@ -248,3 +257,152 @@ def test_crossover_once_won_stays_won():
         for fam in ("T1", "T2"):
             result = crossover(fam, n, 40)
             assert result.k_star is not None
+
+
+def scan_crossover(family, n, k_max):
+    """The linear scan that crossover's piecewise search replaced, kept as
+    its differential oracle: two predictions for every k in 1..k_max."""
+    family = as_family(family)
+    check_int(k_max, "k_max")
+    k_star = None
+    for k in range(1, k_max + 1):
+        trans_total = predict(Algorithm.TRANS, family, n, k).total
+        mtf_total = predict(Algorithm.MTF, family, n, k).total
+        wins = trans_total < mtf_total
+        if k_star is None and wins:
+            k_star = k
+        elif k_star is not None and not wins:
+            raise SolistError(
+                f"dominance broken at family={family.value} n={n} k={k}: "
+                f"transpose won at k={k_star} but not at k={k}"
+            )
+    return CrossoverResult(family=family, n=n, k_star=k_star, searched_k_max=k_max)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except SolistError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def crossover_args(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    # Land k_max on, just below and just past transpose/t1's case break
+    # n // 2 as often as anywhere else.
+    at_break = max(1, n // 2 + draw(st.integers(min_value=-1, max_value=1)))
+    k_max = draw(st.one_of(st.just(at_break), st.integers(min_value=1, max_value=3 * n + 5)))
+    return draw(st.sampled_from(["T1", "T2"])), n, k_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=crossover_args())
+def test_crossover_equals_the_scan(args):
+    assert crossover(*args) == scan_crossover(*args)
+
+
+def test_crossover_equals_the_scan_on_a_grid():
+    for family in ("T1", "T2"):
+        for n in range(1, 41):
+            for k_max in (1, 2, 3, 4, 5, 10, 57, 200):
+                assert crossover(family, n, k_max) == scan_crossover(family, n, k_max)
+
+
+def _defective_trans(monkeypatch, family, offset):
+    """Make transpose's total on ``family`` move-to-front's plus offset(k)."""
+    family = as_family(family)
+
+    def evaluator(n, k):
+        mtf = predict(Algorithm.MTF, family, n, k)
+        return Prediction(Algorithm.TRANS, family, n, k, "defect", mtf.total + offset(k))
+
+    monkeypatch.setitem(closed_form._EVALUATORS, (Algorithm.TRANS, family), evaluator)
+
+
+@pytest.mark.parametrize(
+    "family, n, sign, p, q, k_max, k_star, broken",
+    [
+        # Convex: transpose wins strictly between p and q, loses again at q.
+        ("T2", 6, 1, 5, 40, 100, 6, 40),
+        ("T1", 30, 1, 5, 40, 100, 6, 40),
+        # Concave: transpose wins before p and loses again at p.
+        ("T2", 6, -1, 10, 20, 100, 1, 10),
+        ("T1", 30, -1, 25, 60, 100, 1, 25),
+    ],
+)
+def test_broken_dominance_names_the_scans_k(monkeypatch, family, n, sign, p, q, k_max, k_star, broken):
+    _defective_trans(monkeypatch, family, lambda k: sign * (k - p) * (k - q))
+    with pytest.raises(SolistError) as scanned:
+        scan_crossover(family, n, k_max)
+    with pytest.raises(SolistError) as searched:
+        crossover(family, n, k_max)
+    assert str(searched.value) == str(scanned.value)
+    assert f"transpose won at k={k_star} but not at k={broken}" in str(searched.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["T1", "T2"]),
+    n=st.integers(min_value=1, max_value=40),
+    sign=st.sampled_from([1, -1]),
+    p=st.integers(min_value=-5, max_value=60),
+    width=st.integers(min_value=0, max_value=40),
+    shift=st.integers(min_value=-3, max_value=3),
+    k_max=st.integers(min_value=1, max_value=90),
+)
+def test_defective_quadratics_match_the_scan(family, n, sign, p, width, shift, k_max):
+    # Any trans - mtf of degree <= 2, convex or concave: the search must
+    # return the scan's result or raise its error, word for word.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _defective_trans(monkeypatch, family, lambda k: sign * (k - p) * (k - p - width) + shift)
+        assert _outcome(crossover, family, n, k_max) == _outcome(scan_crossover, family, n, k_max)
+
+
+@pytest.mark.parametrize("family", ["T1", "T2"])
+def test_a_cubic_evaluator_is_an_arithmetic_error(monkeypatch, family):
+    # Transpose wins only for k in 3..7 and 21.. under this cubic; a fit of
+    # degree 2 from k = 1..3 cannot see that, and the far-end check must.
+    _defective_trans(monkeypatch, family, lambda k: -(k - 2) * (k - 8) * (k - 20))
+    with pytest.raises(ArithmeticError, match="not of degree <= 2"):
+        crossover(family, 4, 100)
+
+
+@pytest.mark.parametrize("model", list(CostModel))
+@pytest.mark.parametrize("steady_pass_off", [False, True], ids=["true-passes", "steady-pass-off"])
+def test_first_divergence_at_a_trillion_passes(model, steady_pass_off, monkeypatch):
+    # An off-by-one predictor on one trans/t1 cell at k = 10**12: locating
+    # the first divergent pass reads one period of each view, not 10**12
+    # passes. With the steady per-pass cost off by one, pass 2 is the first
+    # to diverge (request n + 1); with the true passes, none does.
+    n = 3
+
+    def off_by_one(algorithm, family, n, k):
+        true = predict(algorithm, family, n, k)
+        return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+
+    if steady_pass_off:
+        def passes_off(algorithm, family, n, k):
+            costs = expected_pass_costs(algorithm, family, n, k)
+            return PeriodicView(costs.head, tuple(cost + 1 for cost in costs.cycle), k)
+
+        monkeypatch.setattr(harness, "expected_pass_costs", passes_off)
+    expected = n + 1 if steady_pass_off else None
+
+    # The same row at a k small enough to compare pass by pass.
+    small = verify_grid(["trans"], ["T1"], (n, n), (1000, 1000), model, off_by_one).cells[0]
+    assert small.first_divergence == expected
+
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        report = verify_grid(["trans"], ["T1"], (n, n), (10**12, 10**12), model, off_by_one)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (cell,) = report.cells
+    assert not cell.match
+    assert cell.first_divergence == expected
+    assert elapsed < 0.5
+    assert peak < 1_000_000
