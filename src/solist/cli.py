@@ -121,7 +121,8 @@ def _load_explicit(args: argparse.Namespace) -> tuple[ListState, object]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
-    if family_source == file_source:
+    sized = args.n is not None or args.k is not None
+    if family_source == file_source or (file_source and sized):
         raise InvalidParameterError(
             "exactly one sequence source: either --seq with --n/--k, or --list-file with --seq-file"
         )

@@ -3,8 +3,9 @@ profiles, and the move-to-front vs transpose crossover search.
 
 A grid cell simulates one (algorithm, family, n, k) configuration and
 compares the simulated grand total with the closed-form prediction.
-Under the partial model the prediction is the full-model total minus one
-per request, i.e. minus k*n. Cells are assembled deterministically in
+The closed forms are full-model totals; under another cost model the
+prediction is that total less ``CostModel.discount`` per request, i.e.
+per pass of n requests. Cells are assembled deterministically in
 (algorithm, family, n, k) order.
 """
 
@@ -110,11 +111,9 @@ def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostM
 def _first_divergence(
     ledger: CostLedger, algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel
 ) -> int | None:
-    expected = as_view(expected_pass_costs(algorithm, family, n, k))
-    if model is CostModel.PARTIAL:
-        expected = PeriodicView(
-            tuple(cost - n for cost in expected.head), tuple(cost - n for cost in expected.cycle), k
-        )
+    full = as_view(expected_pass_costs(algorithm, family, n, k))
+    less = n * CostModel.discount(model)
+    expected = PeriodicView(tuple(cost - less for cost in full.head), tuple(cost - less for cost in full.cycle), k)
     index = ledger.pass_totals.first_difference(expected)
     return None if index is None else index * n + 1
 
@@ -138,6 +137,7 @@ def verify_grid(
         raise InvalidParameterError("need at least one algorithm and one family")
     n_lo, n_hi = _check_range(n_range, "n")
     k_lo, k_hi = _check_range(k_range, "k")
+    discount = CostModel.discount(model)
 
     cells = []
     for algorithm in algorithms:
@@ -154,9 +154,7 @@ def verify_grid(
                 row_divergence = None
                 for k in range(k_lo, k_hi + 1):
                     simulated += totals[k - 1]
-                    predicted = predictor(algorithm, family, n, k).total
-                    if model is CostModel.PARTIAL:
-                        predicted -= k * n
+                    predicted = predictor(algorithm, family, n, k).total - k * n * discount
                     match = simulated == predicted
                     divergence = None
                     if not match:

@@ -1,5 +1,5 @@
-"""List state: item arrangement, position lookup, and cost accounting
-under the full and partial cost models.
+"""List state: item arrangement, the full and partial cost models, and
+cost accounting.
 
 Positions are 1-based throughout: the front of the list is position 1.
 A :class:`ListState` is immutable; the reorganization rules that produce
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .errors import InvalidParameterError, ItemNotInListError, check_int
+from .errors import InvalidParameterError, check_int
 
 __all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
@@ -34,6 +34,16 @@ class CostModel(Enum):
 
     FULL = "full"
     PARTIAL = "partial"
+
+    @classmethod
+    def discount(cls, model: "CostModel") -> int:
+        """The one cost rule: under ``model`` an access at position i costs
+        i less this discount (0 or 1), so any m requests cost exactly m less
+        under PARTIAL than under FULL. Raises InvalidParameterError for
+        anything that is not a CostModel."""
+        if not isinstance(model, cls):
+            raise InvalidParameterError(f"unknown cost model {model!r}")
+        return 1 if model is cls.PARTIAL else 0
 
 
 def _check_items(items: tuple[int, ...]) -> None:
@@ -76,25 +86,6 @@ class ListState:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.order
-
-    def position_of(self, item: int) -> int:
-        """1-based position of ``item``; raises ItemNotInListError if absent."""
-        try:
-            return self.order.index(item) + 1
-        except ValueError:
-            raise ItemNotInListError(item) from None
-
-    def access_cost(self, item: int, model: CostModel = CostModel.FULL) -> int:
-        """Cost of accessing ``item`` where it currently sits.
-
-        Position i costs i under FULL and i - 1 under PARTIAL. The state
-        is not changed; reorganization is a separate (free) operation.
-        """
-        pos = self.position_of(item)
-        return pos if model is CostModel.FULL else pos - 1
 
 
 class PeriodicView(Sequence):

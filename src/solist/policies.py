@@ -31,11 +31,10 @@ __all__ = [
 # A run of a rule owns its working arrangement. ``_start_run`` returns
 #   advance(item) -> the item's 1-based position before the access, after
 #       which the rule has reorganized the arrangement;
-#   arrangement() -> the current arrangement as a tuple of items;
-#   counters() -> {item: counter}, for frequency count only (None otherwise).
+#   snapshot() -> (the current arrangement as a tuple of items, the
+#       counters in the same order for frequency count, or None).
 # An item not in the list makes advance raise KeyError.
-_Advance = Callable[[int], int]
-_Run = tuple[_Advance, Callable[[], tuple], Callable[[], dict] | None]
+_Run = tuple[Callable[[int], int], Callable[[], tuple[tuple, tuple | None]]]
 
 # Move-to-front and frequency count hold the arrangement as a str in which
 # each item is a token: chr(its index in the initial order). Finding an
@@ -81,8 +80,9 @@ class Policy:
     stateful rules (frequency count) return an updated copy from ``step``.
 
     A rule is defined once, by ``_start_run``: it starts a run from a
-    state and returns the run's advance function, a way to read its
-    arrangement and, for rules that keep counters, a way to read them.
+    state and returns the run's advance function and its snapshot
+    function, which reads the arrangement and, for rules that keep them,
+    the counters.
     ``step`` and ``serve`` are both built on it.
     """
 
@@ -90,14 +90,15 @@ class Policy:
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
-        advance, arrangement, counters = self._start_run(state)
+        discount = CostModel.discount(model)
+        advance, snapshot = self._start_run(state)
         try:
             pos = advance(item)
         except KeyError:
             raise ItemNotInListError(item) from None
-        cost = pos - 1 if model is CostModel.PARTIAL else pos
-        new_policy = self if counters is None else FrequencyCount(counters())
-        return AccessOutcome(cost, ListState._unchecked(arrangement()), new_policy)
+        order, along = snapshot()
+        new_policy = self if along is None else FrequencyCount(dict(zip(order, along)))
+        return AccessOutcome(pos - discount, ListState._unchecked(order), new_policy)
 
     def _start_run(self, initial: ListState) -> _Run:
         raise NotImplementedError
@@ -126,7 +127,7 @@ class MoveToFront(Policy):
                 s = token + s[:at] + s[at + width:]
             return at // width + 1
 
-        return advance, lambda: decode(s), None
+        return advance, lambda: (decode(s), None)
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class Transpose(Policy):
                 where[ahead] = pos
             return pos + 1
 
-        return advance, lambda: tuple(order), None
+        return advance, lambda: (tuple(order), None)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class FrequencyCount(Policy):
                 s = s[:cut] + token + s[cut:at] + s[at + width:]
             return pos + 1
 
-        return advance, lambda: decode(s), lambda: dict(zip(decode(s), along))
+        return advance, lambda: (decode(s), tuple(along))
 
 
 _FACTORIES = {
@@ -250,11 +251,9 @@ def serve(
     hold the passes before that cycle and one copy of it, and read as the
     same ledger, request for request, at any number of passes.
     """
-    if not isinstance(model, CostModel):
-        raise InvalidParameterError(f"unknown cost model {model!r}")
+    discount = CostModel.discount(model)
     requests = sequence.requests
-    advance, arrangement, counters = policy._start_run(initial)
-    partial = model is CostModel.PARTIAL
+    advance, snapshot = policy._start_run(initial)
     # A sequence without a pass structure is served as a single pass.
     pass_len = sequence.pass_length or len(requests) or 1
     num_passes = len(requests) // pass_len
@@ -273,24 +272,20 @@ def serve(
         total = 0
         for item in block if block is not None else islice(stream, pass_len):
             try:
-                pos = advance(item)
+                cost = advance(item) - discount
             except KeyError:
                 raise ItemNotInListError(item, request_index=len(per_request)) from None
-            cost = pos - 1 if partial else pos
             per_request.append(cost)
             total += cost
         pass_totals.append(total)
-        config = arrangement()
+        config, along = snapshot()
         pass_configs.append(ListState._unchecked(config))
         if block is None:
             continue
-        if counters is None:
-            key = config
-        else:
-            counts = counters()
-            low = min(counts.values())
-            key = (config, tuple(counts[item] - low for item in config))
-        first = seen.setdefault(key, p)
+        if along is not None:
+            low = min(along)
+            along = tuple(count - low for count in along)
+        first = seen.setdefault((config, along), p)
         if first != p:
             cycle_start = first + 1
             break

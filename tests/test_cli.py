@@ -349,6 +349,8 @@ def test_crossover_bad_n_range(capsys):
         ("compare", "--seq", "t1", "--n", "4", "--k", "3..1"),
         ("verify", "--n", "1..3", "--k", "0..2"),
         ("verify", "--n", "3..1", "--k", "1..2"),
+        ("simulate", "--algo", "mtf", "--list-file", "list.txt", "--seq-file", "seq.txt", "--n", "3"),
+        ("simulate", "--algo", "fc", "--list-file", "list.txt", "--seq-file", "seq.txt", "--k", "2"),
     ],
     ids=" ".join,
 )

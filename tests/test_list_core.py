@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from solist import (
     CostLedger,
     CostModel,
+    FrequencyCount,
     InvalidParameterError,
-    ItemNotInListError,
     ListState,
     MoveToFront,
     Transpose,
@@ -23,39 +23,34 @@ def state_and_item(draw, max_n=8):
     return ListState(tuple(perm)), item
 
 
-def test_position_of_identity_arrangement():
-    assert ListState((1, 2, 3, 4)).position_of(3) == 3
-
-
-def test_position_of_rotated_arrangement():
-    assert ListState((2, 3, 4, 1)).position_of(1) == 4
-
-
 def test_position_of_state_after_two_ascending_transpose_passes():
     # (3,2,4,1) is where transpose leaves (1,2,3,4) after two ascending
     # passes; derive it with the naive oracle rather than trusting the
     # frozen tuple.
     _, trace = reference.run("trans", [1, 2, 3, 4], [1, 2, 3, 4] * 2)
     assert trace[-1] == (3, 2, 4, 1)
-    assert ListState(trace[-1]).position_of(4) == 3
+    assert trace[-1].index(4) + 1 == 3
 
 
-def test_position_of_missing_item():
-    with pytest.raises(ItemNotInListError):
-        ListState((1, 2, 3)).position_of(9)
+def test_step_full_charges_position():
+    assert MoveToFront().step(ListState((1, 2, 3, 4)), 4, CostModel.FULL).cost == 4
 
 
-def test_access_cost_full_charges_position():
-    assert ListState((1, 2, 3, 4)).access_cost(4, CostModel.FULL) == 4
+def test_step_partial_charges_comparisons():
+    assert MoveToFront().step(ListState((1, 2, 3, 4)), 4, CostModel.PARTIAL).cost == 3
+    assert MoveToFront().step(ListState((1, 2, 3, 4)), 1, CostModel.PARTIAL).cost == 0
 
 
-def test_access_cost_partial_charges_comparisons():
-    assert ListState((1, 2, 3, 4)).access_cost(4, CostModel.PARTIAL) == 3
-    assert ListState((1, 2, 3, 4)).access_cost(1, CostModel.PARTIAL) == 0
+def test_step_defaults_to_full():
+    assert MoveToFront().step(ListState((1, 2, 3, 4)), 2).cost == 2
 
 
-def test_access_cost_defaults_to_full():
-    assert ListState((1, 2, 3, 4)).access_cost(2) == 2
+def test_cost_model_discount():
+    assert CostModel.discount(CostModel.FULL) == 0
+    assert CostModel.discount(CostModel.PARTIAL) == 1
+    for model in ("partial", 1, None):
+        with pytest.raises(InvalidParameterError):
+            CostModel.discount(model)
 
 
 def test_liststate_rejects_duplicates():
@@ -71,14 +66,13 @@ def test_initial_builds_canonical_list():
 def test_contains_and_n():
     state = ListState((5, 2, 9))
     assert state.n == 3
-    assert 9 in state
-    assert 3 not in state
 
 
 @given(state_and_item())
 def test_partial_is_full_minus_one(si):
     state, item = si
-    assert state.access_cost(item, CostModel.PARTIAL) == state.access_cost(item, CostModel.FULL) - 1
+    for policy in (MoveToFront(), Transpose(), FrequencyCount()):
+        assert policy.step(state, item, CostModel.PARTIAL).cost == policy.step(state, item).cost - 1
 
 
 @given(state_and_item())
@@ -92,9 +86,9 @@ def test_operations_preserve_item_set(si):
 @given(state_and_item())
 def test_repeated_transpose_reaches_front(si):
     state, item = si
-    for _ in range(state.position_of(item) - 1):
+    for _ in range(state.order.index(item)):
         state = Transpose().step(state, item).new_state
-    assert state.position_of(item) == 1
+    assert state.order[0] == item
 
 
 @given(state_and_item())

@@ -162,6 +162,14 @@ def test_serve_rejects_unknown_model():
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@pytest.mark.parametrize("model", ["partial", "full", None])
+def test_step_rejects_unknown_model(name, model):
+    # The same check as serve's: a model name is not a CostModel.
+    with pytest.raises(InvalidParameterError, match="unknown cost model"):
+        POLICIES[name].step(ListState.initial(4), 3, model)
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
 def test_serve_reports_missing_item_with_request_index(name):
     # The missing item comes mid-stream, after requests that moved items.
     seq = explicit_sequence((3, 2, 3, 9, 1, 2))
