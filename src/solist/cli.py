@@ -5,7 +5,8 @@ verify formulas against simulation on a grid, export mtf-vs-trans
 comparison data as CSV, and scan for the crossover point.
 
 Exit codes: 0 success (verify: all cells match), 1 verification
-mismatches, 2 parameter error, 3 malformed or unreadable input file.
+mismatches, 2 parameter error, 3 malformed or unreadable input file, or
+an --output or --gnuplot file that cannot be written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .closed_form import Algorithm, as_family, predict
@@ -172,6 +174,7 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     algorithms, families = args.algo or ["mtf", "trans"], args.seq or ["t1", "t2"]
     report = verify_grid(algorithms, families, args.n, args.k, CostModel(args.model))
+    mismatches = report.mismatches
 
     if args.format == "csv":
         buffer = io.StringIO()
@@ -186,24 +189,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lines = []
         per_pair = (report.n_range[1] - report.n_range[0] + 1) * (report.k_range[1] - report.k_range[0] + 1)
+        bad = Counter((cell.algorithm, cell.family) for cell in mismatches)
         for algorithm in report.algorithms:
             for family in report.families:
-                bad = sum(
-                    1 for cell in report.mismatches
-                    if cell.algorithm is algorithm and cell.family is family
-                )
-                lines.append(f"{algorithm.value} {family.value}: {bad} mismatches / {per_pair} cells")
-        for cell in report.mismatches:
+                count = bad[algorithm, family]
+                lines.append(f"{algorithm.value} {family.value}: {count} mismatches / {per_pair} cells")
+        for cell in mismatches:
             where = "" if cell.first_divergence is None else f" first_divergence {cell.first_divergence}"
             lines.append(
                 f"MISMATCH {cell.algorithm.value} {cell.family.value} n {cell.n} k {cell.k} "
                 f"simulated {cell.simulated} predicted {cell.predicted}{where}"
             )
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(f"verdict {verdict} ({len(report.cells)} cells, {report.mismatch_count} mismatches)")
+        verdict = "FAIL" if mismatches else "PASS"
+        lines.append(f"verdict {verdict} ({len(report.cells)} cells, {len(mismatches)} mismatches)")
         _emit("\n".join(lines) + "\n", args.output)
 
-    return 0 if report.passed else 1
+    return 1 if mismatches else 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

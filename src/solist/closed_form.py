@@ -173,15 +173,7 @@ def as_family(value: Family | str) -> Family:
 
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:
     """Route to the matching evaluator for (algorithm, family)."""
-    algorithm = as_algorithm(algorithm)
-    family = as_family(family)
-    try:
-        evaluator = _EVALUATORS[(algorithm, family)]
-    except KeyError:
-        raise InvalidParameterError(
-            f"no closed form for algorithm={algorithm.value} family={family.value}"
-        ) from None
-    return evaluator(n, k)
+    return _EVALUATORS[as_algorithm(algorithm), as_family(family)](n, k)
 
 
 def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PeriodicView:

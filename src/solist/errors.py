@@ -1,5 +1,13 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "SolistError",
+    "ItemNotInListError",
+    "InvalidParameterError",
+    "NotAPermutationError",
+    "ParseError",
+]
+
 
 class SolistError(Exception):
     """Base class for every error raised by this library."""

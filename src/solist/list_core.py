@@ -173,11 +173,6 @@ class PeriodicView(Sequence):
         # Equal views agree on their length and on their first elements.
         return hash((self._length, tuple(islice(self, 16))))
 
-    def __add__(self, other):
-        if isinstance(other, (tuple, PeriodicView)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"PeriodicView({self._head!r}, {self._cycle!r}, {self._length})"
 
@@ -201,7 +196,6 @@ class CostLedger:
     """
 
     per_request: PeriodicView
-    access_total: int
     final_state: ListState
     pass_totals: PeriodicView | None = None
     pass_end_configs: PeriodicView | None = None
@@ -213,19 +207,14 @@ class CostLedger:
                 object.__setattr__(self, name, as_view(values))
         if min(self.per_request.stored(), default=0) < 0:
             raise InvalidParameterError("per-request costs must be nonnegative")
-        if self.access_total != self.per_request.total():
-            raise InvalidParameterError(
-                f"access_total {self.access_total} != sum of per-request costs "
-                f"{self.per_request.total()}"
-            )
-        if self.pass_totals is not None and self.pass_totals.total() != self.access_total:
+        if self.pass_totals is not None and self.pass_totals.total() != self.grand_total:
             raise InvalidParameterError(
                 f"pass totals sum to {self.pass_totals.total()}, "
-                f"expected access_total {self.access_total}"
+                f"expected the per-request total {self.grand_total}"
             )
 
     @property
     def grand_total(self) -> int:
-        """Total cost charged. The shipped rules move only the accessed item
-        forward, which is free, so this is the access total."""
-        return self.access_total
+        """Total cost charged: the sum of the per-request access costs. The
+        shipped rules make no paid exchange, so nothing else is charged."""
+        return self.per_request.total()

@@ -301,7 +301,6 @@ def serve(
     configs = view(pass_configs)
     return CostLedger(
         per_request=view(per_request, pass_len),
-        access_total=totals.total(),
         final_state=configs[-1] if num_passes else initial,
         pass_totals=totals if has_passes else None,
         pass_end_configs=configs if has_passes else None,

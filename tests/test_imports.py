@@ -1,16 +1,33 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the package exports each public name that one module declares, once.
 
 ``from __future__`` imports and the package ``__init__``'s re-exports
-are exempt.
+are exempt from the first check.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import solist
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "solist"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+# The package's public API. A change to it shows up as a diff here.
+PUBLIC_API = [
+    "AccessOutcome", "Algorithm", "CostLedger", "CostModel", "CrossoverResult",
+    "Family", "FrequencyCount", "GridCell", "InvalidParameterError",
+    "ItemNotInListError", "ListState", "MoveToFront", "NotAPermutationError",
+    "ParseError", "PassProfile", "PeriodicView", "Policy", "Prediction",
+    "RequestSequence", "SolistError", "Transpose", "VerificationReport",
+    "crossover", "expected_pass_costs", "explicit_sequence", "gen_perm_power",
+    "gen_t1", "gen_t2", "make_policy", "mtf_t1", "mtf_t2", "parse_list_file",
+    "parse_sequence_file", "per_pass_profile", "predict", "serve", "trans_t1",
+    "trans_t2", "verify_grid",
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +52,21 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_package_exports_the_public_api_once():
+    # PUBLIC_API is sorted and has no duplicates, so neither has __all__.
+    assert sorted(solist.__all__) == PUBLIC_API
+
+
+def test_each_public_name_is_declared_by_one_module_and_exported_as_itself():
+    declared = {}
+    # Importing __main__ would run the command line.
+    for path in filter(lambda path: path.stem != "__main__", MODULES):
+        module = importlib.import_module(f"solist.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert name not in declared, (name, declared.get(name), path.stem)
+            declared[name] = module
+            assert getattr(module, name).__module__ == module.__name__
+    for name in solist.__all__:
+        assert getattr(solist, name) is getattr(declared[name], name)

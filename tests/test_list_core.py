@@ -102,26 +102,15 @@ def test_transpose_moves_one_adjacent_pair_or_nothing(si):
 def test_ledger_grand_total_is_sum_of_components():
     ledger = CostLedger(
         per_request=(1, 2, 3),
-        access_total=6,
         final_state=ListState((1, 2, 3)),
     )
     assert ledger.grand_total == 6
-
-
-def test_ledger_rejects_inconsistent_access_total():
-    with pytest.raises(InvalidParameterError):
-        CostLedger(
-            per_request=(1, 2, 3),
-            access_total=7,
-            final_state=ListState((1, 2, 3)),
-        )
 
 
 def test_ledger_rejects_pass_totals_that_do_not_sum():
     with pytest.raises(InvalidParameterError):
         CostLedger(
             per_request=(1, 2, 3, 4),
-            access_total=10,
             final_state=ListState((1, 2, 3, 4)),
             pass_totals=(3, 8),
             pass_end_configs=(ListState((1, 2, 3, 4)), ListState((1, 2, 3, 4))),
@@ -132,7 +121,6 @@ def test_ledger_rejects_negative_costs():
     with pytest.raises(InvalidParameterError):
         CostLedger(
             per_request=(-1,),
-            access_total=-1,
             final_state=ListState((1,)),
         )
 
@@ -141,7 +129,6 @@ def test_ledger_rejects_negative_costs_in_the_cycle():
     with pytest.raises(InvalidParameterError):
         CostLedger(
             per_request=PeriodicView((3,), (-1,), 4),
-            access_total=0,
             final_state=ListState((1,)),
         )
 
@@ -168,7 +155,6 @@ def test_periodic_view_reads_as_its_expansion(inst, data):
             view[index]
     cut = data.draw(st.slices(len(expanded) + 2))
     assert view[cut] == expanded[cut]
-    assert view + (7,) == expanded + (7,)
     assert [view.total(stop) for stop in range(-1, len(expanded) + 2)] == [
         sum(expanded[:max(stop, 0)]) for stop in range(-1, len(expanded) + 2)
     ]
