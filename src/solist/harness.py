@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .closed_form import Algorithm, Prediction, _case_breaks, as_algorithm, as_family, expected_pass_costs, predict
 from .errors import InvalidParameterError, SolistError, check_int
-from .list_core import CostLedger, CostModel, ListState, PeriodicView, as_view
+from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
 from .seqgen import GENERATORS, Family
 
@@ -111,7 +111,7 @@ def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostM
 def _first_divergence(
     ledger: CostLedger, algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel
 ) -> int | None:
-    full = as_view(expected_pass_costs(algorithm, family, n, k))
+    full = expected_pass_costs(algorithm, family, n, k)
     less = n * CostModel.discount(model)
     expected = PeriodicView(tuple(cost - less for cost in full.head), tuple(cost - less for cost in full.cycle), k)
     index = ledger.pass_totals.first_difference(expected)

@@ -187,7 +187,7 @@ class CostLedger:
     """Cost accounting for one served request sequence.
 
     ``per_request`` holds the access cost of each request in order. When
-    the sequence declares a pass structure, ``pass_totals`` and
+    the sequence is repetitions of one block, ``pass_totals`` and
     ``pass_end_configs`` record the access-cost subtotal and the
     configuration snapshot at every pass boundary. All three are
     :class:`PeriodicView` objects, so a ledger of repeating passes holds

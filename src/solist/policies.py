@@ -11,7 +11,6 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Mapping
 
 from .errors import InvalidParameterError, ItemNotInListError, check_int
@@ -86,8 +85,6 @@ class Policy:
     ``step`` and ``serve`` are both built on it.
     """
 
-    kind: str = ""
-
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
         discount = CostModel.discount(model)
@@ -113,8 +110,6 @@ class MoveToFront(Policy):
     puts the token first.
     """
 
-    kind = "mtf"
-
     def _start_run(self, initial: ListState) -> _Run:
         token_of, width, decode = _encode(initial.order)
         s = "".join(token_of.values())
@@ -138,8 +133,6 @@ class Transpose(Policy):
     index in it, so an access costs O(1) rather than a scan to the item:
     the swap changes the index of exactly two items.
     """
-
-    kind = "trans"
 
     def _start_run(self, initial: ListState) -> _Run:
         order = list(initial.order)
@@ -175,7 +168,6 @@ class FrequencyCount(Policy):
     re-slices the str once to move the item.
     """
 
-    kind = "fc"
     counters: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -240,25 +232,25 @@ def serve(
 
     Behaves exactly like folding ``policy.step`` over the requests, but
     runs on a single working copy of the arrangement so that large
-    verification grids stay fast. When ``sequence`` declares a pass
-    structure, the ledger also records per-pass subtotals and the
-    configuration snapshot at every pass boundary.
+    verification grids stay fast. A sequence has passes when it is
+    repetitions of one block (``RequestSequence.repeat``, ``gen_t1``,
+    ``gen_t2``, ``gen_perm_power``); the ledger then also records per-pass
+    subtotals and the configuration snapshot at every pass boundary. Any
+    other sequence is served as one pass over all of its requests.
 
-    When the sequence is held as repetitions of one block (``gen_t1``,
-    ``gen_t2``, ``gen_perm_power``), a pass is a fixed map of the list
-    state, so once a pass-end state repeats, the passes since its first
-    occurrence repeat forever. ``serve`` stops there: the ledger's views
-    hold the passes before that cycle and one copy of it, and read as the
-    same ledger, request for request, at any number of passes.
+    A pass of a block is a fixed map of the list state, so once a pass-end
+    state repeats, the passes since its first occurrence repeat forever.
+    ``serve`` stops there: the ledger's views hold the passes before that
+    cycle and one copy of it, and read as the same ledger, request for
+    request, at any number of passes.
     """
     discount = CostModel.discount(model)
-    requests = sequence.requests
     advance, snapshot = policy._start_run(initial)
-    # A sequence without a pass structure is served as a single pass.
-    pass_len = sequence.pass_length or len(requests) or 1
-    num_passes = len(requests) // pass_len
     block = sequence.block
-    stream = iter(requests)
+    has_passes = block is not None
+    if not has_passes:
+        block = sequence.requests
+    num_passes = len(sequence) // (len(block) or 1)
     # Pass-end state -> index of the first pass that ended in it. For fc
     # the state includes the counters less their minimum: the rule only
     # compares counters, so a common offset does not change what it does.
@@ -270,7 +262,7 @@ def serve(
     cycle_start = num_passes
     for p in range(num_passes):
         total = 0
-        for item in block if block is not None else islice(stream, pass_len):
+        for item in block:
             try:
                 cost = advance(item) - discount
             except KeyError:
@@ -280,8 +272,6 @@ def serve(
         pass_totals.append(total)
         config, along = snapshot()
         pass_configs.append(ListState._unchecked(config))
-        if block is None:
-            continue
         if along is not None:
             low = min(along)
             along = tuple(count - low for count in along)
@@ -296,11 +286,10 @@ def serve(
         del stored[cut:]
         return PeriodicView(tuple(stored), cycle, num_passes * width)
 
-    has_passes = bool(sequence.pass_length)
     totals = view(pass_totals)
     configs = view(pass_configs)
     return CostLedger(
-        per_request=view(per_request, pass_len),
+        per_request=view(per_request, len(block)),
         final_state=configs[-1] if num_passes else initial,
         pass_totals=totals if has_passes else None,
         pass_end_configs=configs if has_passes else None,

@@ -43,37 +43,31 @@ class RequestSequence:
     ``requests`` is a :class:`~solist.list_core.PeriodicView`: an explicit
     stream keeps its tuple as the view's head, and a repeated block is
     held once, as the view's cycle, however often it repeats (see
-    :meth:`repeat`). ``pass_length`` is set when the sequence is a whole
-    number of repetitions of an underlying permutation; it turns on
-    per-pass accounting in :func:`solist.policies.serve`.
+    :meth:`repeat`). A sequence has passes exactly when it is whole
+    repetitions of one block (:attr:`block`); that turns on per-pass
+    accounting in :func:`solist.policies.serve`.
     """
 
     requests: PeriodicView
-    pass_length: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", as_view(self.requests))
-        if self.pass_length is not None:
-            check_int(self.pass_length, "pass_length")
-            if len(self.requests) % self.pass_length:
-                raise InvalidParameterError(
-                    f"sequence length {len(self.requests)} is not a multiple of "
-                    f"pass_length {self.pass_length}"
-                )
 
     @classmethod
     def repeat(cls, block: Sequence[int], k: int) -> "RequestSequence":
         """``block`` requested k times over, one pass per repetition."""
         check_int(k, "k", minimum=0)
         block = tuple(block)
-        return cls(PeriodicView((), block, len(block) * k), pass_length=len(block))
+        check_int(len(block), "block length")
+        return cls(PeriodicView((), block, len(block) * k))
 
     @property
     def block(self) -> tuple[int, ...] | None:
-        """The block that every pass requests, when the sequence is held as
-        repetitions of one; None otherwise."""
+        """The block that every pass requests: the view's cycle when the
+        view has no head and is whole repetitions of a nonempty cycle;
+        None otherwise."""
         requests = self.requests
-        if requests.head or len(requests.cycle) != self.pass_length:
+        if requests.head or not requests.cycle or len(requests) % len(requests.cycle):
             return None
         return requests.cycle
 
@@ -106,15 +100,16 @@ def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
     return RequestSequence.repeat(perm, k)
 
 
-def explicit_sequence(items: Iterable[int], pass_length: int | None = None) -> RequestSequence:
-    """Wrap a literal request stream, optionally declaring a pass structure."""
+def explicit_sequence(items: Iterable[int]) -> RequestSequence:
+    """Wrap a literal request stream. It has no passes: ``serve`` serves
+    it as one."""
     items = tuple(items)
     # Check the whole stream in C first; only if that fails, check item by
     # item, so that the error names the first bad request.
     if not (set(map(type, items)) <= {int} and min(items, default=1) >= 1):
         for item in items:
             check_int(item, "each request")
-    return RequestSequence(items, pass_length=pass_length)
+    return RequestSequence(items)
 
 
 GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {

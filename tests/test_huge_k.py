@@ -19,7 +19,6 @@ from solist import (
     CostModel,
     ListState,
     RequestSequence,
-    explicit_sequence,
     gen_perm_power,
     make_policy,
     predict,
@@ -88,7 +87,8 @@ def repeated_permutations(draw, max_n=6):
 def repeated_blocks(draw, max_n=5):
     # Any block over the list, items repeated or missing, so that pass-end
     # states can cycle with periods above one; sometimes after a head of
-    # other passes, which serve must simulate in full.
+    # other requests, which makes the sequence one pass that serve must
+    # simulate in full.
     n = draw(st.integers(min_value=1, max_value=max_n))
     start = tuple(draw(st.permutations(list(range(1, n + 1)))))
     items = st.sampled_from(start)
@@ -96,7 +96,7 @@ def repeated_blocks(draw, max_n=5):
     block = tuple(draw(st.lists(items, min_size=width, max_size=width)))
     head = tuple(draw(st.lists(items, min_size=width, max_size=width))) * draw(st.integers(0, 2))
     k = draw(st.integers(min_value=0, max_value=8))
-    return ListState(start), RequestSequence(PeriodicView(head, block, len(head) + width * k), pass_length=width)
+    return ListState(start), RequestSequence(PeriodicView(head, block, len(head) + width * k))
 
 
 def _same_elements(view, expected, data):
@@ -117,22 +117,25 @@ def _same_elements(view, expected, data):
 @settings(max_examples=100)
 def test_compressed_ledger_matches_the_oracle(name, inst, data):
     state, seq = inst
-    n = seq.pass_length
+    block = seq.block
     requests = list(seq.requests)
     for model in CostModel:
         ledger = serve(make_policy(name), state, seq, model)
-        expanded = serve(make_policy(name), state, explicit_sequence(requests, pass_length=n), model)
         costs, trace = reference.run(name, list(state.order), requests, model.value)
         _same_elements(ledger.per_request, costs, data)
+        assert ledger.grand_total == sum(costs)
+        assert ledger.final_state.order == (trace[-1] if trace else state.order)
+        if block is None:
+            # Served whole, as one pass.
+            assert ledger.pass_totals is None and ledger.pass_end_configs is None
+            continue
+        n = len(block)
         _same_elements(ledger.pass_totals, [sum(costs[i:i + n]) for i in range(0, len(costs), n)], data)
         _same_elements(ledger.pass_end_configs, map(ListState, trace[n - 1::n]), data)
-        assert ledger.grand_total == sum(costs)
-        assert ledger == expanded
         # The ledger of a much longer run starts with this one. (Frequency
         # count need not repeat a state on a block that is not a
         # permutation: its counter gaps can grow without bound.)
-        block = seq.block
-        if block is not None and (name != "fc" or sorted(block) == sorted(state.order)):
+        if name != "fc" or sorted(block) == sorted(state.order):
             longer = serve(make_policy(name), state, RequestSequence.repeat(block, 10**12), model)
             assert longer.pass_totals[:len(ledger.pass_totals)] == ledger.pass_totals
             assert longer.pass_end_configs[:len(ledger.pass_end_configs)] == ledger.pass_end_configs

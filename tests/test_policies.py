@@ -23,6 +23,7 @@ from solist import (
     serve,
 )
 from solist import policies
+from solist.list_core import PeriodicView
 
 import reference
 
@@ -188,12 +189,6 @@ def test_make_policy_accepts_known_names():
         make_policy("lru")
 
 
-def test_policy_kind_labels():
-    assert MoveToFront().kind == "mtf"
-    assert Transpose().kind == "trans"
-    assert FrequencyCount().kind == "fc"
-
-
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
 @given(inst=instance())
 @settings(max_examples=60)
@@ -254,17 +249,14 @@ def test_no_paid_exchanges_are_charged(name, inst):
 
 
 @st.composite
-def passes(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    perm = draw(st.permutations(list(range(1, n + 1))))
-    pass_length = draw(st.integers(min_value=1, max_value=4))
-    m = pass_length * draw(st.integers(min_value=0, max_value=5))
-    requests = draw(st.lists(st.sampled_from(perm), min_size=m, max_size=m))
-    return ListState(tuple(perm)), explicit_sequence(requests, pass_length=pass_length)
+def repeated_blocks(draw):
+    # Any nonempty block over the list, items repeated or missing, 0-5 times.
+    state, block = draw(instance(max_m=4).filter(lambda inst: inst[1]))
+    return state, RequestSequence.repeat(block, draw(st.integers(min_value=0, max_value=5)))
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
-@given(inst=passes())
+@given(inst=repeated_blocks())
 @settings(max_examples=40)
 def test_serve_snapshots_are_valid_states(name, inst):
     # serve builds its snapshots without re-validating them; each must
@@ -383,32 +375,51 @@ def test_fast_forward_replays_a_two_pass_cycle():
         assert ledger.final_state.order == trace[-1]
 
 
-def test_repeated_state_with_different_passes_is_not_replayed():
-    # Two descending passes end in the same state, but the third pass is
-    # ascending: it must be simulated, not copied from the second.
-    for n in (2, 3, 6):
-        down, up = tuple(range(n, 0, -1)), tuple(range(1, n + 1))
-        requests = down + down + up
-        ledger = serve(MoveToFront(), ListState.initial(n), explicit_sequence(requests, pass_length=n))
-        costs, trace = reference.run("mtf", list(range(1, n + 1)), list(requests))
+def one_pass_matches_the_oracle(name, state, seq):
+    # A sequence that is not repetitions of one block is served whole, as
+    # one pass: every request of its view, head and cycle, and no passes.
+    for model in CostModel:
+        ledger = serve(POLICIES[name], state, seq, model)
+        costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
         assert ledger.per_request == tuple(costs)
-        assert ledger.pass_totals == (n * n, n * n, n * (n + 1) // 2)
-        assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
         assert ledger.final_state.order == trace[-1]
+        assert ledger.pass_totals is None and ledger.pass_end_configs is None
+
+
+def test_repeated_state_with_different_passes_is_not_replayed():
+    # Two descending scans end in the same state, but the third scan is
+    # ascending: with the first two as the view's head, the sequence has
+    # no block, and the third scan is simulated, not copied.
+    for name, n in itertools.product(POLICIES, (2, 3, 6)):
+        down, up = tuple(range(n, 0, -1)), tuple(range(1, n + 1))
+        seq = RequestSequence(PeriodicView(down + down, up, 3 * n))
+        one_pass_matches_the_oracle(name, ListState.initial(n), seq)
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_sequence_ending_partway_through_its_cycle_is_one_pass(name):
+    # Five requests from a cycle of two: the trailing request is served.
+    one_pass_matches_the_oracle(name, ListState.initial(3), RequestSequence(PeriodicView((), (1, 2), 5)))
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
 @pytest.mark.parametrize(
-    "requests, pass_length, index",
-    [((1, 9) * 3, 2, 1), ((1, 2, 3) * 2 + (1, 9, 3), 3, 7), ((1, 2, 3, 4) * 3, 4, 3)],
+    "seq, index",
+    [
+        (RequestSequence.repeat((1, 9), 3), 1),
+        (RequestSequence(PeriodicView((1, 2, 3) * 2, (1, 9, 3), 9)), 7),
+        (RequestSequence.repeat((1, 2, 3, 4), 3), 3),
+    ],
     ids=["periodic", "last-pass", "whole-perm"],
 )
-def test_pass_structure_keeps_missing_item_index(name, requests, pass_length, index):
-    for seq in (explicit_sequence(requests), explicit_sequence(requests, pass_length=pass_length)):
+def test_pass_structure_keeps_missing_item_index(name, seq, index):
+    # Served pass by pass (a repeated block), as one pass over a view with
+    # a head, and as the same requests in a plain tuple.
+    for served in (seq, explicit_sequence(seq.requests)):
         with pytest.raises(ItemNotInListError) as exc_info:
-            serve(POLICIES[name], ListState.initial(3), seq)
+            serve(POLICIES[name], ListState.initial(3), served)
         assert exc_info.value.request_index == index
-        assert exc_info.value.item == requests[index]
+        assert exc_info.value.item == seq.requests[index]
 
 
 def test_fc_fast_forward_keys_on_counter_gaps():
@@ -468,7 +479,7 @@ def test_trans_position_map_with_sparse_ids(inst):
             assert ledger.grand_total == sum(costs)
             assert ledger.final_state == final
             assert final.order == (trace[-1] if trace else state.order)
-            if seq.pass_length:
+            if seq.block is not None:
                 assert ledger.pass_totals == tuple(
                     sum(costs[start:start + n]) for start in range(0, len(costs), n)
                 )
@@ -530,7 +541,7 @@ def test_scan_kernels_with_sparse_ids(name, width, inst, seeds):
             assert ledger.grand_total == sum(costs)
             assert ledger.final_state == final
             assert final.order == (trace[-1] if trace else state.order)
-            if seq.pass_length:
+            if seq.block is not None:
                 assert ledger.pass_totals == tuple(
                     sum(costs[start:start + n]) for start in range(0, len(costs), n)
                 )

@@ -21,7 +21,7 @@ from solist.seqgen import _tokenize
 def test_gen_t1_small():
     seq = gen_t1(3, 2)
     assert seq.requests == (1, 2, 3, 1, 2, 3)
-    assert seq.pass_length == 3
+    assert seq.block == (1, 2, 3)
 
 
 def test_gen_t1_zero_passes():
@@ -37,7 +37,7 @@ def test_gen_t1_single_item():
 def test_gen_t2_small():
     seq = gen_t2(3, 2)
     assert seq.requests == (3, 2, 1, 3, 2, 1)
-    assert seq.pass_length == 3
+    assert seq.block == (3, 2, 1)
 
 
 def test_gen_t2_single_item():
@@ -52,7 +52,7 @@ def test_one_pass_of_t2_is_reversed_t1():
 def test_gen_perm_power_small():
     seq = gen_perm_power((2, 1, 3), 2)
     assert seq.requests == (2, 1, 3, 2, 1, 3)
-    assert seq.pass_length == 3
+    assert seq.block == (2, 1, 3)
 
 
 def test_gen_perm_power_identity_is_t1():
@@ -92,13 +92,7 @@ def test_each_t2_pass_is_a_permutation(n, k):
 def test_explicit_sequence_keeps_items():
     seq = explicit_sequence((5, 1, 5))
     assert seq.requests == (5, 1, 5)
-    assert seq.pass_length is None
-
-
-def test_explicit_sequence_with_declared_passes():
-    seq = explicit_sequence((1, 2, 2, 1), pass_length=2)
-    assert seq.requests == (1, 2, 2, 1)
-    assert seq.pass_length == 2
+    assert seq.block is None
 
 
 def test_block_is_set_only_for_repetitions_of_one_block():
@@ -106,16 +100,16 @@ def test_block_is_set_only_for_repetitions_of_one_block():
     assert gen_t2(3, 0).block == (3, 2, 1)
     assert gen_perm_power((2, 1, 3), 5).block == (2, 1, 3)
     assert len(gen_t1(50, 10**12)) == 50 * 10**12
-    assert explicit_sequence((1, 2, 1, 2), pass_length=2).block is None
+    assert RequestSequence(PeriodicView((), (2, 1), 6)).block == (2, 1)
+    # An explicit stream is held as a head, even when it repeats.
+    assert explicit_sequence((1, 2, 1, 2)).block is None
     assert explicit_sequence((1, 2)).block is None
     # A first pass that differs from the repeated ones.
-    assert RequestSequence(PeriodicView((1, 2), (2, 1), 6), pass_length=2).block is None
-    assert RequestSequence(PeriodicView((), (2, 1), 6), pass_length=1).block is None
-
-
-def test_request_sequence_rejects_ragged_passes():
+    assert RequestSequence(PeriodicView((1, 2), (2, 1), 6)).block is None
+    # A length that is not a whole number of cycles.
+    assert RequestSequence(PeriodicView((), (1, 2), 5)).block is None
     with pytest.raises(InvalidParameterError):
-        RequestSequence((1, 2, 3), pass_length=2)
+        RequestSequence.repeat((), 3)
 
 
 def test_parse_list_file_reads_first_contentful_line():

@@ -13,7 +13,6 @@ from solist import (
     FrequencyCount,
     InvalidParameterError,
     ListState,
-    RequestSequence,
     crossover,
     expected_pass_costs,
     explicit_sequence,
@@ -32,9 +31,7 @@ from solist import (
 ENTRY_POINTS = {
     "ListState.initial.n": (lambda v: ListState.initial(v), 1),
     "ListState.item": (lambda v: ListState((v,)), 1),
-    "RequestSequence.pass_length": (lambda v: RequestSequence((), pass_length=v), 1),
     "explicit_sequence.item": (lambda v: explicit_sequence((v,)), 1),
-    "explicit_sequence.pass_length": (lambda v: explicit_sequence((), pass_length=v), 1),
     "FrequencyCount.counter": (lambda v: FrequencyCount(counters={1: v}), 0),
     "gen_t1.n": (lambda v: gen_t1(v, 1), 1),
     "gen_t1.k": (lambda v: gen_t1(3, v), 0),
