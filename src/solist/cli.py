@@ -5,18 +5,18 @@ verify formulas against simulation on a grid, export mtf-vs-trans
 comparison data as CSV, and scan for the crossover point.
 
 Exit codes: 0 success (verify: all cells match), 1 verification
-mismatches, 2 parameter error, 3 malformed or unreadable input file, or
-an --output or --gnuplot file that cannot be written.
+mismatches, 2 parameter error or not enough memory, 3 malformed or
+unreadable input file, or an --output or --gnuplot file that cannot be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from collections import Counter
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .closed_form import Algorithm, as_family, predict
 from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int
@@ -27,8 +27,8 @@ from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
 
 __all__ = ["main", "run", "build_parser"]
 
-COMPARE_HEADER = ["n", "k", "family", "mtf_cost", "trans_cost"]
-VERIFY_HEADER = ["algo", "family", "n", "k", "simulated", "predicted", "match"]
+COMPARE_HEADER = "n,k,family,mtf_cost,trans_cost"
+VERIFY_HEADER = "algo,family,n,k,simulated,predicted,match"
 
 _GNUPLOT_TEMPLATE = """\
 # Plot total access cost against k from a compare CSV export.
@@ -163,12 +163,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(lines: Iterable[str], output: str | None) -> None:
+    """Write ``lines`` to the file ``output``, or to stdout if it is None,
+    one at a time, so that the report is never held whole as one string."""
     if output is None:
-        print(text, end="")
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     else:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -177,15 +179,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mismatches = report.mismatches
 
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(VERIFY_HEADER)
-        for cell in report.cells:
-            writer.writerow([
-                cell.algorithm.value, cell.family.value, cell.n, cell.k,
-                cell.simulated, cell.predicted, "true" if cell.match else "false",
-            ])
-        _emit(buffer.getvalue(), args.output)
+        lines = chain([VERIFY_HEADER], (
+            f"{cell.algorithm.value},{cell.family.value},{cell.n},{cell.k},"
+            f"{cell.simulated},{cell.predicted},{'true' if cell.match else 'false'}"
+            for cell in report.cells
+        ))
     else:
         lines = []
         per_pair = (report.n_range[1] - report.n_range[0] + 1) * (report.k_range[1] - report.k_range[0] + 1)
@@ -202,8 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         verdict = "FAIL" if mismatches else "PASS"
         lines.append(f"verdict {verdict} ({len(report.cells)} cells, {len(mismatches)} mismatches)")
-        _emit("\n".join(lines) + "\n", args.output)
-
+    _emit(lines, args.output)
     return 1 if mismatches else 0
 
 
@@ -214,14 +211,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_int(args.n, "n")
     k_lo, k_hi = _check_range(args.k, "k")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COMPARE_HEADER)
+    lines = [COMPARE_HEADER]
     for k in range(k_lo, k_hi + 1):
         mtf_cost = predict(Algorithm.MTF, family, args.n, k).total
         trans_cost = predict(Algorithm.TRANS, family, args.n, k).total
-        writer.writerow([args.n, k, family.value, mtf_cost, trans_cost])
-    _emit(buffer.getvalue(), args.output)
+        lines.append(f"{args.n},{k},{family.value},{mtf_cost},{trans_cost}")
+    _emit(lines, args.output)
 
     if args.gnuplot is not None:
         with open(args.gnuplot, "w", encoding="utf-8", newline="") as handle:
@@ -246,18 +241,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ItemNotInListError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (ParseError, ItemNotInListError, OSError) as exc:
+        code, message = 3, str(exc)
     except SolistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except MemoryError:
-        print("error: not enough memory for these parameters", file=sys.stderr)
-        return 2
+        code, message = 2, "not enough memory for these parameters"
+    # Print only once the traceback and the frames it held (verify's cells,
+    # say) are released: printing inside a handler can run out of memory too.
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -48,3 +48,12 @@ def check_int(value, name: str, minimum: int = 1) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum else "nonnegative"
         raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_ids(values, name: str) -> None:
+    """Raise InvalidParameterError unless every one of ``values`` is a
+    positive int (not a bool). One pass in C; only if it fails, a second,
+    value by value, so that the error names ``name`` and the first bad one."""
+    if not (set(map(type, values)) <= {int} and min(values, default=1) >= 1):
+        for value in values:
+            check_int(value, name)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .errors import InvalidParameterError, check_int
+from .errors import InvalidParameterError, check_ids, check_int
 
 __all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
@@ -46,13 +46,6 @@ class CostModel(Enum):
         return 1 if model is cls.PARTIAL else 0
 
 
-def _check_items(items: tuple[int, ...]) -> None:
-    for item in items:
-        check_int(item, "each item id")
-    if len(set(items)) != len(items):
-        raise InvalidParameterError(f"item ids must be distinct, got {items!r}")
-
-
 @dataclass(frozen=True)
 class ListState:
     """An arrangement of n distinct positive-integer items.
@@ -65,7 +58,9 @@ class ListState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(self.order))
-        _check_items(self.order)
+        check_ids(self.order, "each item id")
+        if len(set(self.order)) != len(self.order):
+            raise InvalidParameterError(f"item ids must be distinct, got {self.order!r}")
 
     @classmethod
     def initial(cls, n: int) -> "ListState":

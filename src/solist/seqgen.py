@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_int
+from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_ids, check_int
 from .list_core import ListState, PeriodicView, as_view
 
 __all__ = [
@@ -90,8 +90,6 @@ def gen_t2(n: int, k: int) -> RequestSequence:
 def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
     """An arbitrary permutation of 1..n repeated k times."""
     perm = tuple(perm)
-    if not perm:
-        raise InvalidParameterError("perm must be nonempty")
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutationError(
@@ -104,11 +102,7 @@ def explicit_sequence(items: Iterable[int]) -> RequestSequence:
     """Wrap a literal request stream. It has no passes: ``serve`` serves
     it as one."""
     items = tuple(items)
-    # Check the whole stream in C first; only if that fails, check item by
-    # item, so that the error names the first bad request.
-    if not (set(map(type, items)) <= {int} and min(items, default=1) >= 1):
-        for item in items:
-            check_int(item, "each request")
+    check_ids(items, "each request")
     return RequestSequence(items)
 
 
@@ -144,22 +138,12 @@ def _parse_int(token: str) -> int:
         raise ParseError(f"expected an integer, got {token!r}") from None
 
 
-def _contentful_lines(text: str) -> list[str]:
-    lines = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
-
-
 def parse_list_file(text: str) -> ListState:
-    """Parse an initial list: the first contentful line holds the items."""
-    lines = _contentful_lines(text)
-    if not lines:
+    """Parse an initial list: the first line that holds an item is the list."""
+    items = next(filter(None, map(_tokenize, text.splitlines())), None)
+    if items is None:
         raise ParseError("list file has no items")
     try:
-        items = _tokenize(lines[0])
         return ListState(tuple(items))
     except InvalidParameterError as exc:
         raise ParseError(f"bad list file: {exc}") from None

@@ -132,6 +132,20 @@ def test_simulate_non_utf8_file_is_exit_3(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_simulate_list_file_of_only_commas_is_exit_3(capsys, tmp_path):
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text(",\n")
+    seq_file.write_text("")
+    code, out, err = run_cli(
+        capsys, "simulate", "--algo", "fc",
+        "--list-file", str(list_file), "--seq-file", str(seq_file),
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: list file has no items\n"
+
+
 def test_simulate_unknown_item_is_exit_3(capsys, tmp_path):
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"
@@ -393,3 +407,26 @@ def test_module_entry_point_is_byte_deterministic(tmp_path):
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"n,k,family,mtf_cost,trans_cost\n")
     assert len(first.stdout.splitlines()) == 11
+
+
+def _limit_address_space():
+    import resource
+
+    # From about 150 MB up the run fails while it holds its cells, where an
+    # error message printed inside the except clause raised a second
+    # MemoryError (exit 1). Under about 128 MB it fails earlier and would
+    # not show that.
+    limit = 175 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_verify_out_of_memory_is_exit_2():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "solist", "verify", "--n", "1..2", "--k", "1..3000000"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env,
+                            preexec_fn=_limit_address_space, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: not enough memory for these parameters\n"
+    assert result.stdout == ""

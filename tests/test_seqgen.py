@@ -118,6 +118,17 @@ def test_parse_list_file_reads_first_contentful_line():
     assert state.order == (3, 1, 2)
 
 
+def test_parse_list_file_skips_lines_without_items():
+    assert parse_list_file(",\n# c\n3 1 2\n").order == (3, 1, 2)
+    with pytest.raises(ParseError, match="list file has no items"):
+        parse_list_file(", ,\n")
+
+
+def test_id_check_names_the_first_bad_request():
+    with pytest.raises(InvalidParameterError, match="each request must be a positive integer, got 0$"):
+        explicit_sequence((1,) * 1000 + (0, -1))
+
+
 def test_parse_list_file_rejects_garbage():
     with pytest.raises(ParseError):
         parse_list_file("")

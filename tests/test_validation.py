@@ -32,6 +32,10 @@ ENTRY_POINTS = {
     "ListState.initial.n": (lambda v: ListState.initial(v), 1),
     "ListState.item": (lambda v: ListState((v,)), 1),
     "explicit_sequence.item": (lambda v: explicit_sequence((v,)), 1),
+    # The value under test after a long valid prefix: the one-pass id check
+    # fails and its item-by-item fallback must find the bad value.
+    "ListState.item_after_1000": (lambda v: ListState(tuple(range(2, 1002)) + (v,)), 1),
+    "explicit_sequence.item_after_1000": (lambda v: explicit_sequence((1,) * 1000 + (v,)), 1),
     "FrequencyCount.counter": (lambda v: FrequencyCount(counters={1: v}), 0),
     "gen_t1.n": (lambda v: gen_t1(v, 1), 1),
     "gen_t1.k": (lambda v: gen_t1(3, v), 0),
