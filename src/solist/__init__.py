@@ -5,22 +5,32 @@ policies under the full and partial cost models, generate
 repeated-permutation request sequences, evaluate exact closed-form cost
 formulas for move-to-front and transpose on those sequences, and verify
 formulas against simulation cell by cell.
+
+Importing the package loads none of its modules: each public name loads
+the module that declares it on first use (PEP 562).
 """
 
-from .closed_form import *
-from .errors import *
-from .harness import *
-from .list_core import *
-from .policies import *
-from .seqgen import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = (
-    closed_form.__all__
-    + errors.__all__
-    + harness.__all__
-    + list_core.__all__
-    + policies.__all__
-    + seqgen.__all__
-)
+# Each module imports only modules before it.
+_MODULES = ("errors", "list_core", "seqgen", "policies", "closed_form", "harness")
+
+
+def __getattr__(name: str):
+    names = []
+    for module_name in _MODULES:
+        module = import_module(f"{__name__}.{module_name}")
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)
+            return value
+        names += module.__all__
+    if name == "__all__":
+        globals()[name] = names
+        return names
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

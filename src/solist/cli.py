@@ -18,12 +18,8 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .closed_form import Algorithm, as_family, predict
-from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int
-from .harness import _check_range, crossover, verify_grid
-from .list_core import CostModel, ListState
-from .policies import make_policy, serve
-from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
+# Each subcommand imports the modules it runs: start-up loads only errors.
+from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -107,20 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_explicit(args: argparse.Namespace) -> tuple[ListState, object]:
-    try:
-        with open(args.list_file, encoding="utf-8") as handle:
-            initial = parse_list_file(handle.read())
-        with open(args.seq_file, encoding="utf-8") as handle:
-            sequence = parse_sequence_file(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read input file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input file is not valid UTF-8: {exc}") from None
-    return initial, sequence
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .list_core import CostModel, ListState
+    from .policies import make_policy, serve
+    from .seqgen import GENERATORS, as_family, parse_list_file, parse_sequence_file
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -136,7 +122,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
-        initial, sequence = _load_explicit(args)
+        try:
+            with open(args.list_file, encoding="utf-8") as handle:
+                initial = parse_list_file(handle.read())
+            with open(args.seq_file, encoding="utf-8") as handle:
+                sequence = parse_sequence_file(handle.read())
+        except OSError as exc:
+            raise ParseError(f"cannot read input file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input file is not valid UTF-8: {exc}") from None
 
     ledger = serve(make_policy(args.algo), initial, sequence, CostModel(args.model))
     if args.per_pass:
@@ -155,6 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .closed_form import predict
     prediction = predict(args.algo, args.seq, args.n, args.k)
     print(
         f"algo {prediction.algorithm.value} family {prediction.family.value} "
@@ -174,6 +169,8 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .harness import verify_grid
+    from .list_core import CostModel
     algorithms, families = args.algo or ["mtf", "trans"], args.seq or ["t1", "t2"]
     report = verify_grid(algorithms, families, args.n, args.k, CostModel(args.model))
     mismatches = report.mismatches
@@ -205,11 +202,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .closed_form import Algorithm, predict
+    from .seqgen import as_family
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
     family = as_family(args.seq)
     check_int(args.n, "n")
-    k_lo, k_hi = _check_range(args.k, "k")
+    k_lo, k_hi = check_range(args.k, "k")
 
     lines = [COMPARE_HEADER]
     for k in range(k_lo, k_hi + 1):
@@ -225,8 +224,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
+    from .closed_form import crossover
+    from .seqgen import as_family
     family = as_family(args.seq)
-    n_lo, n_hi = _check_range(args.n, "n")
+    n_lo, n_hi = check_range(args.n, "n")
     check_int(args.kmax, "k_max")
     print("family n k_star")
     for n in range(n_lo, n_hi + 1):

@@ -57,3 +57,13 @@ def check_ids(values, name: str) -> None:
     if not (set(map(type, values)) <= {int} and min(values, default=1) >= 1):
         for value in values:
             check_int(value, name)
+
+
+def check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
+    """Return ``bounds`` as (lo, hi), or raise InvalidParameterError unless 1 <= lo <= hi."""
+    lo, hi = bounds
+    check_int(lo, f"{name} lower bound")
+    check_int(hi, f"{name} upper bound")
+    if lo > hi:
+        raise InvalidParameterError(f"{name} range is empty: {lo}..{hi}")
+    return lo, hi

@@ -1,5 +1,5 @@
-"""Verification harness: formula-vs-simulation grids, per-pass structural
-profiles, and the move-to-front vs transpose crossover search.
+"""Verification harness: formula-vs-simulation grids and per-pass
+structural profiles.
 
 A grid cell simulates one (algorithm, family, n, k) configuration and
 compares the simulated grand total with the closed-form prediction.
@@ -14,20 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .closed_form import Algorithm, Prediction, _case_breaks, as_algorithm, as_family, expected_pass_costs, predict
-from .errors import InvalidParameterError, SolistError, check_int
+from .closed_form import Algorithm, Prediction, as_algorithm, expected_pass_costs, predict
+from .errors import InvalidParameterError, check_int, check_range
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
-from .seqgen import GENERATORS, Family
+from .seqgen import GENERATORS, Family, as_family
 
 __all__ = [
     "GridCell",
     "VerificationReport",
     "PassProfile",
-    "CrossoverResult",
     "verify_grid",
     "per_pass_profile",
-    "crossover",
 ]
 
 
@@ -83,26 +81,6 @@ class PassProfile:
     pass_end_configs: tuple[ListState, ...]
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Smallest repetition count at which transpose strictly beats
-    move-to-front, or None if it never does within the searched range."""
-
-    family: Family
-    n: int
-    k_star: int | None
-    searched_k_max: int
-
-
-def _check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
-    lo, hi = bounds
-    check_int(lo, f"{name} lower bound")
-    check_int(hi, f"{name} upper bound")
-    if lo > hi:
-        raise InvalidParameterError(f"{name} range is empty: {lo}..{hi}")
-    return lo, hi
-
-
 def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel) -> CostLedger:
     sequence = GENERATORS[family](n, k)
     return serve(make_policy(algorithm.value), ListState.initial(n), sequence, model)
@@ -135,8 +113,8 @@ def verify_grid(
     families = tuple(as_family(f) for f in families)
     if not algorithms or not families:
         raise InvalidParameterError("need at least one algorithm and one family")
-    n_lo, n_hi = _check_range(n_range, "n")
-    k_lo, k_hi = _check_range(k_range, "k")
+    n_lo, n_hi = check_range(n_range, "n")
+    k_lo, k_hi = check_range(k_range, "k")
     discount = CostModel.discount(model)
 
     cells = []
@@ -189,93 +167,3 @@ def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k
         pass_costs=ledger.pass_totals,
         pass_end_configs=ledger.pass_end_configs,
     )
-
-
-def _trans_minus_mtf(family: Family, n: int, k: int) -> int:
-    return predict(Algorithm.TRANS, family, n, k).total - predict(Algorithm.MTF, family, n, k).total
-
-
-def _piece(family: Family, n: int, a: int, b: int):
-    """trans - mtf on k = a..b as a function of j = k - a, with the runs of
-    j on which it is monotone."""
-    if b - a < 3:
-        values = [_trans_minus_mtf(family, n, k) for k in range(a, b + 1)]
-        return values.__getitem__, [(j, j) for j in range(len(values))]
-    # Both totals are of degree <= 2 in k on a case interval, so three
-    # points fix the difference; the far end checks it.
-    d0, d1, d2 = (_trans_minus_mtf(family, n, k) for k in (a, a + 1, a + 2))
-    step, curve = d1 - d0, d2 - 2 * d1 + d0
-
-    def value(j: int) -> int:
-        return d0 + j * step + j * (j - 1) // 2 * curve
-
-    m = b - a
-    if _trans_minus_mtf(family, n, b) != value(m):
-        raise ArithmeticError(
-            f"trans - mtf for family={family.value} n={n} is not of degree <= 2 on k = {a}..{b}"
-        )
-    if not curve:
-        return value, [(0, m)]
-    # The first differences step + j*curve change sign at j = vertex.
-    vertex = min(max(-(step // curve), 0), m)
-    return value, [(0, vertex), (vertex, m)]
-
-
-def _first_where(value, runs, start: int, holds) -> int | None:
-    """Smallest j >= start in the runs at which ``holds(value(j))``, where
-    ``value`` is monotone on each run (so ``holds`` is true on a prefix or
-    a suffix of it)."""
-    for lo, hi in runs:
-        lo = max(lo, start)
-        if lo > hi:
-            continue
-        if holds(value(lo)):
-            return lo
-        if not holds(value(hi)):
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if holds(value(mid)):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    return None
-
-
-def crossover(family: Family | str, n: int, k_max: int) -> CrossoverResult:
-    """Find the first k in 1..k_max at which transpose strictly beats
-    move-to-front.
-
-    Ties do not count as a win. Once a win is found, dominance must
-    persist through k_max; the totals are arithmetic-like in k, so a
-    broken dominance would mean a defective evaluator. The range is cut
-    at the closed forms' case breaks; on each piece trans - mtf is a
-    polynomial of degree <= 2 in k, fitted from four ``predict`` pairs
-    and searched by bisection in O(log k_max) integer steps.
-    """
-    family = as_family(family)
-    check_int(k_max, "k_max")
-    # Evaluating k = 1 raises the same errors for a bad family or n as a
-    # scan would, before n is used to place the breaks.
-    _trans_minus_mtf(family, n, 1)
-    breaks = {*_case_breaks(Algorithm.TRANS, family, n), *_case_breaks(Algorithm.MTF, family, n)}
-    k_star = None
-    a = 1
-    for b in sorted(k for k in breaks if 1 <= k < k_max) + [k_max]:
-        value, runs = _piece(family, n, a, b)
-        start = 0
-        if k_star is None:
-            won = _first_where(value, runs, 0, lambda d: d < 0)
-            if won is not None:
-                k_star, start = a + won, won + 1
-        if k_star is not None:
-            lost = _first_where(value, runs, start, lambda d: d >= 0)
-            if lost is not None:
-                k = a + lost
-                raise SolistError(
-                    f"dominance broken at family={family.value} n={n} k={k}: "
-                    f"transpose won at k={k_star} but not at k={k}"
-                )
-        a = b + 1
-    return CrossoverResult(family=family, n=n, k_star=k_star, searched_k_max=k_max)

@@ -36,6 +36,17 @@ class Family(Enum):
     T2 = "T2"  # the reversed list order, repeated k times
 
 
+def as_family(value: Family | str) -> Family:
+    if isinstance(value, Family):
+        return value
+    try:
+        return Family(str(value).upper())
+    except ValueError:
+        raise InvalidParameterError(
+            f"unknown family {value!r}; expected 'T1' or 'T2'"
+        ) from None
+
+
 @dataclass(frozen=True)
 class RequestSequence:
     """A stream of item requests.
@@ -90,6 +101,7 @@ def gen_t2(n: int, k: int) -> RequestSequence:
 def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
     """An arbitrary permutation of 1..n repeated k times."""
     perm = tuple(perm)
+    check_ids(perm, "each item")
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutationError(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import solist.cli
+import solist.harness
 from solist import Prediction, predict, verify_grid
 from solist.cli import main
 
@@ -225,7 +226,7 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     def broken_grid(algorithms, families, n_range, k_range, model):
         return verify_grid(algorithms, families, n_range, k_range, model, predictor=off_by_one)
 
-    monkeypatch.setattr(solist.cli, "verify_grid", broken_grid)
+    monkeypatch.setattr(solist.harness, "verify_grid", broken_grid)
     code, out, _ = run_cli(capsys, "verify", "--algo", "mtf", "--seq", "t1", "--n", "2..2", "--k", "1..1")
     assert code == 1
     lines = out.splitlines()

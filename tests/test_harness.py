@@ -22,12 +22,11 @@ from solist import (
     serve,
     verify_grid,
 )
-from solist import closed_form, harness
-from solist.closed_form import as_family
+from solist import CrossoverResult, closed_form, harness
 from solist.errors import check_int
-from solist.harness import CrossoverResult, _first_divergence
+from solist.harness import _first_divergence
 from solist.list_core import PeriodicView
-from solist.seqgen import GENERATORS
+from solist.seqgen import GENERATORS, as_family
 
 
 def test_single_cell_matches():

@@ -1,12 +1,18 @@
 """Every name a module of the package imports is used in that module, and
 the package exports each public name that one module declares, once.
+Importing the package loads none of its modules, and each subcommand
+loads only the modules it runs.
 
-``from __future__`` imports and the package ``__init__``'s re-exports
-are exempt from the first check.
+``from __future__`` imports and the package ``__init__`` are exempt from
+the first check.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +76,69 @@ def test_each_public_name_is_declared_by_one_module_and_exported_as_itself():
             assert getattr(module, name).__module__ == module.__name__
     for name in solist.__all__:
         assert getattr(solist, name) is getattr(declared[name], name)
+
+
+def fresh(code: str, *argv: str):
+    """Run ``code`` in a new interpreter with the package on its path, with
+    ``argv`` as its arguments, and return the JSON value its last line of
+    stdout holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+LOADED = "json.dumps(sorted(m for m in sys.modules if m.startswith('solist')))"
+
+
+def test_importing_the_package_loads_no_module():
+    assert fresh(f"import json, sys, solist; print({LOADED})") == ["solist"]
+
+
+def test_star_import_binds_exactly_the_public_api():
+    code = "import json; ns = {}; exec('from solist import *', ns); print(json.dumps(sorted(ns)))"
+    assert fresh(code) == sorted(PUBLIC_API + ["__builtins__"])
+
+
+def test_dir_lists_the_public_api():
+    assert set(PUBLIC_API) <= set(fresh("import json, solist; print(json.dumps(dir(solist)))"))
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    code = (
+        "import json, solist\n"
+        "try:\n    solist.nope\nexcept AttributeError as exc:\n    print(json.dumps(str(exc)))"
+    )
+    assert fresh(code) == "module 'solist' has no attribute 'nope'"
+
+
+# What each subcommand loads, at sizes small enough to run in milliseconds.
+# A module imported at the top of cli, or of a module a command uses,
+# shows up here as a diff.
+COMMAND_MODULES = [
+    (["--help"], []),
+    (["predict", "--algo", "trans", "--seq", "t1", "--n", "5", "--k", "3"],
+     ["closed_form", "list_core", "seqgen"]),
+    (["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2"],
+     ["list_core", "policies", "seqgen"]),
+    (["compare", "--seq", "t2", "--n", "3", "--k", "1..2"],
+     ["closed_form", "list_core", "seqgen"]),
+    (["crossover", "--seq", "t1", "--n", "1..3", "--kmax", "5"],
+     ["closed_form", "list_core", "seqgen"]),
+    (["verify", "--n", "1..2", "--k", "1..2"],
+     ["closed_form", "harness", "list_core", "policies", "seqgen"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    code = (
+        "import json, sys\n"
+        "from solist.cli import main\n"
+        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        f"print({LOADED})"
+    )
+    expected = sorted(["solist", "solist.cli", "solist.errors"] + [f"solist.{name}" for name in modules])
+    assert fresh(code, *argv) == expected

@@ -72,6 +72,12 @@ def test_gen_perm_power_rejects_non_permutations():
         gen_perm_power((), 1)
 
 
+@pytest.mark.parametrize("perm, bad", [((1.0, 2.0), "1.0"), ((True,), "True"), ((1, "a"), "'a'")], ids=repr)
+def test_gen_perm_power_rejects_items_that_are_not_ids(perm, bad):
+    with pytest.raises(InvalidParameterError, match=f"each item must be a positive integer, got {bad}"):
+        gen_perm_power(perm, 2)
+
+
 @given(n=st.integers(min_value=1, max_value=20), k=st.integers(min_value=0, max_value=10))
 def test_each_t1_pass_is_a_permutation(n, k):
     seq = gen_t1(n, k)

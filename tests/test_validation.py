@@ -42,6 +42,7 @@ ENTRY_POINTS = {
     "gen_t2.n": (lambda v: gen_t2(v, 1), 1),
     "gen_t2.k": (lambda v: gen_t2(3, v), 0),
     "gen_perm_power.k": (lambda v: gen_perm_power((2, 1, 3), v), 0),
+    "gen_perm_power.item": (lambda v: gen_perm_power((v,), 1), 1),
     "predict.n": (lambda v: predict("trans", "T1", v, 1), 1),
     "predict.k": (lambda v: predict("trans", "T1", 3, v), 1),
     "expected_pass_costs.n": (lambda v: expected_pass_costs("mtf", "T2", v, 1), 1),
