@@ -34,9 +34,8 @@ def main():
     print("first k with a strict transpose win (k*), scanning k <= 50:")
     for family in ("T1", "T2"):
         for n in (2, 3, 5, 10, 25):
-            result = crossover(family, n, 50)
-            k_star = result.k_star if result.k_star is not None else "never"
-            print(f"  {family} n={n:2d}: k* = {k_star}")
+            k_star = crossover(family, n, 50)
+            print(f"  {family} n={n:2d}: k* = {'never' if k_star is None else k_star}")
     print()
     print("n = 2 never crosses: with two items, swapping with the predecessor")
     print("and moving to the front are the same move, so the totals tie.")

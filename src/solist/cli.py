@@ -210,12 +210,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_int(args.n, "n")
     k_lo, k_hi = check_range(args.k, "k")
 
-    lines = [COMPARE_HEADER]
-    for k in range(k_lo, k_hi + 1):
-        mtf_cost = predict(Algorithm.MTF, family, args.n, k).total
-        trans_cost = predict(Algorithm.TRANS, family, args.n, k).total
-        lines.append(f"{args.n},{k},{family.value},{mtf_cost},{trans_cost}")
-    _emit(lines, args.output)
+    # A generator, so that no more than one row is held at a time.
+    rows = (
+        f"{args.n},{k},{family.value},{predict(Algorithm.MTF, family, args.n, k).total},"
+        f"{predict(Algorithm.TRANS, family, args.n, k).total}"
+        for k in range(k_lo, k_hi + 1)
+    )
+    _emit(chain([COMPARE_HEADER], rows), args.output)
 
     if args.gnuplot is not None:
         with open(args.gnuplot, "w", encoding="utf-8", newline="") as handle:
@@ -231,9 +232,8 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     check_int(args.kmax, "k_max")
     print("family n k_star")
     for n in range(n_lo, n_hi + 1):
-        result = crossover(family, n, args.kmax)
-        k_star = "none" if result.k_star is None else str(result.k_star)
-        print(f"{family.value} {n} {k_star}")
+        k_star = crossover(family, n, args.kmax)
+        print(f"{family.value} {n} {'none' if k_star is None else k_star}")
     return 0
 
 

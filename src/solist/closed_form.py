@@ -36,7 +36,6 @@ __all__ = [
     "trans_t2",
     "predict",
     "expected_pass_costs",
-    "CrossoverResult",
     "crossover",
 ]
 
@@ -197,17 +196,6 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     return PeriodicView((), (per_pass,), k)
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Smallest repetition count at which transpose strictly beats
-    move-to-front, or None if it never does within the searched range."""
-
-    family: Family
-    n: int
-    k_star: int | None
-    searched_k_max: int
-
-
 def _trans_minus_mtf(family: Family, n: int, k: int) -> int:
     return predict(Algorithm.TRANS, family, n, k).total - predict(Algorithm.MTF, family, n, k).total
 
@@ -260,9 +248,9 @@ def _first_where(value, runs, start: int, holds) -> int | None:
     return None
 
 
-def crossover(family: Family | str, n: int, k_max: int) -> CrossoverResult:
-    """Find the first k in 1..k_max at which transpose strictly beats
-    move-to-front.
+def crossover(family: Family | str, n: int, k_max: int) -> int | None:
+    """The first k in 1..k_max at which transpose strictly beats
+    move-to-front, or None if it never does there.
 
     Ties do not count as a win. Once a win is found, dominance must
     persist through k_max; the totals are arithmetic-like in k, so a
@@ -295,4 +283,4 @@ def crossover(family: Family | str, n: int, k_max: int) -> CrossoverResult:
                     f"transpose won at k={k_star} but not at k={k}"
                 )
         a = b + 1
-    return CrossoverResult(family=family, n=n, k_star=k_star, searched_k_max=k_max)
+    return k_star

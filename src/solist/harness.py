@@ -1,8 +1,9 @@
 """Verification harness: formula-vs-simulation grids and per-pass
 structural profiles.
 
-A grid cell simulates one (algorithm, family, n, k) configuration and
-compares the simulated grand total with the closed-form prediction.
+Each (algorithm, family, n) row of a grid is simulated once, at the
+largest k; a cell reads its grand total off the first k passes of that
+run and compares it with the closed-form prediction.
 The closed forms are full-model totals; under another cost model the
 prediction is that total less ``CostModel.discount`` per request, i.e.
 per pass of n requests. Cells are assembled deterministically in
@@ -12,9 +13,9 @@ per pass of n requests. Cells are assembled deterministically in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .closed_form import Algorithm, Prediction, as_algorithm, expected_pass_costs, predict
+from .closed_form import Algorithm, as_algorithm, expected_pass_costs, predict
 from .errors import InvalidParameterError, check_int, check_range
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
@@ -71,14 +72,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class PassProfile:
-    """Simulated per-pass costs and pass-end configurations (full model)."""
+    """Simulated per-pass costs and pass-end configurations (full model),
+    as the views of the run's ``CostLedger``."""
 
-    algorithm: Algorithm
-    family: Family
-    n: int
-    k: int
-    pass_costs: tuple[int, ...]
-    pass_end_configs: tuple[ListState, ...]
+    pass_costs: PeriodicView
+    pass_end_configs: PeriodicView
 
 
 def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel) -> CostLedger:
@@ -102,13 +100,8 @@ def verify_grid(
     n_range: tuple[int, int],
     k_range: tuple[int, int],
     model: CostModel = CostModel.FULL,
-    predictor: Callable[[Algorithm, Family, int, int], Prediction] = predict,
 ) -> VerificationReport:
-    """Compare simulation against prediction on every cell of the grid.
-
-    ``predictor`` defaults to the closed-form evaluators; it is injectable
-    so the mismatch-reporting path can be exercised directly.
-    """
+    """Compare simulation against prediction on every cell of the grid."""
     algorithms = tuple(as_algorithm(a) for a in algorithms)
     families = tuple(as_family(f) for f in families)
     if not algorithms or not families:
@@ -132,7 +125,7 @@ def verify_grid(
                 row_divergence = None
                 for k in range(k_lo, k_hi + 1):
                     simulated += totals[k - 1]
-                    predicted = predictor(algorithm, family, n, k).total - k * n * discount
+                    predicted = predict(algorithm, family, n, k).total - k * n * discount
                     match = simulated == predicted
                     divergence = None
                     if not match:
@@ -159,11 +152,4 @@ def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k
     family = as_family(family)
     check_int(k, "k")
     ledger = _simulate(algorithm, family, n, k, CostModel.FULL)
-    return PassProfile(
-        algorithm=algorithm,
-        family=family,
-        n=n,
-        k=k,
-        pass_costs=ledger.pass_totals,
-        pass_end_configs=ledger.pass_end_configs,
-    )
+    return PassProfile(ledger.pass_totals, ledger.pass_end_configs)

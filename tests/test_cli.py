@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import solist.cli
 import solist.harness
-from solist import Prediction, predict, verify_grid
+from solist import Prediction, predict
 from solist.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -223,10 +224,7 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
         true = predict(algorithm, family, n, k)
         return Prediction(true.algorithm, true.family, true.n, true.k, true.case_id, true.total + 1)
 
-    def broken_grid(algorithms, families, n_range, k_range, model):
-        return verify_grid(algorithms, families, n_range, k_range, model, predictor=off_by_one)
-
-    monkeypatch.setattr(solist.harness, "verify_grid", broken_grid)
+    monkeypatch.setattr(solist.harness, "predict", off_by_one)
     code, out, _ = run_cli(capsys, "verify", "--algo", "mtf", "--seq", "t1", "--n", "2..2", "--k", "1..1")
     assert code == 1
     lines = out.splitlines()
@@ -294,6 +292,24 @@ def test_compare_output_and_gnuplot(capsys, tmp_path):
     assert str(csv_file) in script
     assert "using 2:4" in script
     assert "using 2:5" in script
+
+
+def test_compare_streams_its_rows(tmp_path):
+    # compare writes each row as it is made; holding these 30k rows in a
+    # list first peaked at 3.7 MB.
+    csv_file = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = main(["compare", "--seq", "t1", "--n", "5", "--k", "1..30000", "--output", str(csv_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+    lines = csv_file.read_text().splitlines()
+    assert len(lines) == 30_001
+    mtf, trans = (predict(algo, "T1", 5, 30_000).total for algo in ("mtf", "trans"))
+    assert lines[-1] == f"5,30000,T1,{mtf},{trans}"
 
 
 def test_compare_gnuplot_needs_output(capsys, tmp_path):

@@ -22,7 +22,7 @@ from solist import (
     serve,
     verify_grid,
 )
-from solist import CrossoverResult, closed_form, harness
+from solist import closed_form, harness
 from solist.errors import check_int
 from solist.harness import _first_divergence
 from solist.list_core import PeriodicView
@@ -74,12 +74,18 @@ def test_report_records_parameters():
     assert report.model is CostModel.PARTIAL
 
 
-def test_injected_bad_predictor_reports_mismatches():
+def _predict_off_by_one(monkeypatch):
+    """Make every prediction verify_grid reads one more than the closed form's."""
     def off_by_one(algorithm, family, n, k):
         true = predict(algorithm, family, n, k)
         return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
 
-    report = verify_grid(["mtf"], ["T1"], (3, 4), (1, 2), predictor=off_by_one)
+    monkeypatch.setattr(harness, "predict", off_by_one)
+
+
+def test_injected_bad_predictor_reports_mismatches(monkeypatch):
+    _predict_off_by_one(monkeypatch)
+    report = verify_grid(["mtf"], ["T1"], (3, 4), (1, 2))
     assert not report.passed
     assert report.mismatch_count == 4
     for cell in report.mismatches:
@@ -107,15 +113,12 @@ def test_first_divergence_none_when_consistent():
 def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
     # verify_grid serves each row once at k_hi and reads each cell off the
     # prefix of its passes; every cell must match a run of its own.
-    predictor = predict
     if wrong:
         # Off by one in the total, and in pass 3 of the structural
         # decomposition (the first k of the grid), so that every cell
         # names a divergent pass. A pass's expected cost must not depend
         # on k, as in the real decomposition.
-        def predictor(algorithm, family, n, k):
-            true = predict(algorithm, family, n, k)
-            return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+        _predict_off_by_one(monkeypatch)
 
         def third_pass_off(algorithm, family, n, k):
             costs = expected_pass_costs(algorithm, family, n, k)
@@ -123,7 +126,7 @@ def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
 
         monkeypatch.setattr(harness, "expected_pass_costs", third_pass_off)
 
-    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 6), (3, 7), model, predictor)
+    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 6), (3, 7), model)
     assert len(report.cells) == 2 * 2 * 6 * 5
     for cell in report.cells:
         sequence = GENERATORS[cell.family](cell.n, cell.k)
@@ -145,17 +148,26 @@ def test_row_divergence_equals_per_cell_recomputation(model, monkeypatch):
     # With a decomposition off in pass 4 (the same pass at every k), the
     # cells up to k = 3 name no pass and those from k = 4 on name pass 4;
     # each must equal a naive recomputation from a run of its own.
-    def off_by_one(algorithm, family, n, k):
-        true = predict(algorithm, family, n, k)
-        return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+    _predict_off_by_one(monkeypatch)
 
     def fourth_pass_off(algorithm, family, n, k):
         costs = expected_pass_costs(algorithm, family, n, k)
         return PeriodicView(tuple(cost + (index == 3) for index, cost in enumerate(costs)))
 
     monkeypatch.setattr(harness, "expected_pass_costs", fourth_pass_off)
-    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 5), (1, 7), model, off_by_one)
+    lookups = []
+
+    def counted(*args):
+        lookups.append(args)
+        return _first_divergence(*args)
+
+    monkeypatch.setattr(harness, "_first_divergence", counted)
+    report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 5), (1, 7), model)
     assert report.mismatch_count == len(report.cells) == 2 * 2 * 5 * 7
+    # One lookup per mismatched row, not one per mismatched cell: every
+    # cell of a row shares its passes, so a lookup per cell repeats the
+    # same O(n) walk k times on a failing grid.
+    assert len(lookups) == 2 * 2 * 5
     for cell in report.cells:
         sequence = GENERATORS[cell.family](cell.n, cell.k)
         ledger = serve(make_policy(cell.algorithm.value), ListState.initial(cell.n), sequence, model)
@@ -228,21 +240,18 @@ def test_per_pass_profile_rejects_bad_input():
 
 
 def test_crossover_descending_family():
-    result = crossover("T2", 5, 10)
-    assert result.k_star == 1
-    assert result.family is Family.T2
-    assert result.searched_k_max == 10
+    assert crossover("T2", 5, 10) == 1
 
 
 def test_crossover_ascending_family():
-    assert crossover("T1", 5, 10).k_star == 2
+    assert crossover("T1", 5, 10) == 2
 
 
 def test_crossover_never_wins_on_two_items():
     # With two items, swapping with the predecessor and moving to the
     # front are the same operation, so the totals tie forever.
-    assert crossover("T1", 2, 10).k_star is None
-    assert crossover("T2", 2, 10).k_star is None
+    assert crossover("T1", 2, 10) is None
+    assert crossover("T2", 2, 10) is None
 
 
 def test_crossover_rejects_bad_input():
@@ -254,8 +263,7 @@ def test_crossover_once_won_stays_won():
     # Scans a wide range; the scan itself raises if dominance breaks.
     for n in range(3, 12):
         for fam in ("T1", "T2"):
-            result = crossover(fam, n, 40)
-            assert result.k_star is not None
+            assert crossover(fam, n, 40) is not None
 
 
 def scan_crossover(family, n, k_max):
@@ -275,7 +283,7 @@ def scan_crossover(family, n, k_max):
                 f"dominance broken at family={family.value} n={n} k={k}: "
                 f"transpose won at k={k_star} but not at k={k}"
             )
-    return CrossoverResult(family=family, n=n, k_star=k_star, searched_k_max=k_max)
+    return k_star
 
 
 def _outcome(search, *args):
@@ -370,16 +378,12 @@ def test_a_cubic_evaluator_is_an_arithmetic_error(monkeypatch, family):
 @pytest.mark.parametrize("model", list(CostModel))
 @pytest.mark.parametrize("steady_pass_off", [False, True], ids=["true-passes", "steady-pass-off"])
 def test_first_divergence_at_a_trillion_passes(model, steady_pass_off, monkeypatch):
-    # An off-by-one predictor on one trans/t1 cell at k = 10**12: locating
+    # An off-by-one prediction on one trans/t1 cell at k = 10**12: locating
     # the first divergent pass reads one period of each view, not 10**12
     # passes. With the steady per-pass cost off by one, pass 2 is the first
     # to diverge (request n + 1); with the true passes, none does.
     n = 3
-
-    def off_by_one(algorithm, family, n, k):
-        true = predict(algorithm, family, n, k)
-        return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
-
+    _predict_off_by_one(monkeypatch)
     if steady_pass_off:
         def passes_off(algorithm, family, n, k):
             costs = expected_pass_costs(algorithm, family, n, k)
@@ -389,13 +393,13 @@ def test_first_divergence_at_a_trillion_passes(model, steady_pass_off, monkeypat
     expected = n + 1 if steady_pass_off else None
 
     # The same row at a k small enough to compare pass by pass.
-    small = verify_grid(["trans"], ["T1"], (n, n), (1000, 1000), model, off_by_one).cells[0]
+    small = verify_grid(["trans"], ["T1"], (n, n), (1000, 1000), model).cells[0]
     assert small.first_divergence == expected
 
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        report = verify_grid(["trans"], ["T1"], (n, n), (10**12, 10**12), model, off_by_one)
+        report = verify_grid(["trans"], ["T1"], (n, n), (10**12, 10**12), model)
         elapsed = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
     finally:

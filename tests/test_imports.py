@@ -24,8 +24,7 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 
 # The package's public API. A change to it shows up as a diff here.
 PUBLIC_API = [
-    "AccessOutcome", "Algorithm", "CostLedger", "CostModel", "CrossoverResult",
-    "Family", "FrequencyCount", "GridCell", "InvalidParameterError",
+    "AccessOutcome", "Algorithm", "CostLedger", "CostModel", "Family", "FrequencyCount", "GridCell", "InvalidParameterError",
     "ItemNotInListError", "ListState", "MoveToFront", "NotAPermutationError",
     "ParseError", "PassProfile", "PeriodicView", "Policy", "Prediction",
     "RequestSequence", "SolistError", "Transpose", "VerificationReport",
