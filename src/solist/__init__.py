@@ -6,8 +6,8 @@ repeated-permutation request sequences, evaluate exact closed-form cost
 formulas for move-to-front and transpose on those sequences, and verify
 formulas against simulation cell by cell.
 
-Importing the package loads none of its modules: each public name loads
-the module that declares it on first use (PEP 562).
+Importing the package loads none of its modules (PEP 562): the first use
+of a public name loads ``_MODULES`` up to the one that declares it.
 """
 
 from importlib import import_module

@@ -13,6 +13,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from collections import Counter
 from itertools import chain
@@ -33,8 +34,7 @@ set xlabel "k (repetitions)"
 set ylabel "total access cost"
 set key left top
 plot "{csv}" every ::1 using 2:4 with linespoints title "mtf", \\
-     "{csv}" every ::1 using 2:5 with linespoints title "trans"
-"""
+     "{csv}" every ::1 using 2:5 with linespoints title "trans\""""
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -122,15 +122,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
+        parsed = []
         try:
-            with open(args.list_file, encoding="utf-8") as handle:
-                initial = parse_list_file(handle.read())
-            with open(args.seq_file, encoding="utf-8") as handle:
-                sequence = parse_sequence_file(handle.read())
+            for path, parse in ((args.list_file, parse_list_file), (args.seq_file, parse_sequence_file)):
+                with open(path, encoding="utf-8-sig") as handle:  # -sig: skip a byte-order mark
+                    parsed.append(parse(handle.read()))
         except OSError as exc:
             raise ParseError(f"cannot read input file: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"input file is not valid UTF-8: {exc}") from None
+        initial, sequence = parsed
 
     ledger = serve(make_policy(args.algo), initial, sequence, CostModel(args.model))
     if args.per_pass:
@@ -152,8 +153,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from .closed_form import predict
     prediction = predict(args.algo, args.seq, args.n, args.k)
     print(
-        f"algo {prediction.algorithm.value} family {prediction.family.value} "
-        f"n {prediction.n} k {prediction.k} case {prediction.case_id} total {prediction.total}"
+        f"algo {args.algo} family {args.seq.upper()} n {args.n} k {args.k} "
+        f"case {prediction.case_id} total {prediction.total}"
     )
     return 0
 
@@ -219,8 +220,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _emit(chain([COMPARE_HEADER], rows), args.output)
 
     if args.gnuplot is not None:
-        with open(args.gnuplot, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_GNUPLOT_TEMPLATE.format(csv=args.output))
+        _emit([_GNUPLOT_TEMPLATE.format(csv=args.output)], args.gnuplot)  # one line, no final newline
     return 0
 
 
@@ -255,4 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    # A closed stdout (`| head -1`) ends the command as it ends cat: by SIGPIPE, silently.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParameterError, SolistError, check_int
+from .errors import SolistError, check_int, choose
 from .list_core import PeriodicView
 from .seqgen import Family, as_family
 
@@ -49,12 +49,9 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class Prediction:
-    """An exact predicted grand total for (algorithm, family, n, k)."""
+    """An exact predicted grand total, and the label of the closed-form
+    case that gave it."""
 
-    algorithm: Algorithm
-    family: Family
-    n: int
-    k: int
     case_id: str
     total: int
 
@@ -85,7 +82,7 @@ def mtf_t1(n: int, k: int) -> Prediction:
     check_int(n, "n")
     check_int(k, "k")
     total = _exact_int(n * n * (2 * k - 1) + n, 2, "mtf/t1")
-    return Prediction(Algorithm.MTF, Family.T1, n, k, "1", total)
+    return Prediction("1", total)
 
 
 def mtf_t2(n: int, k: int) -> Prediction:
@@ -96,7 +93,7 @@ def mtf_t2(n: int, k: int) -> Prediction:
     """
     check_int(n, "n")
     check_int(k, "k")
-    return Prediction(Algorithm.MTF, Family.T2, n, k, "2", k * n * n)
+    return Prediction("2", k * n * n)
 
 
 def trans_t1(n: int, k: int) -> Prediction:
@@ -123,7 +120,7 @@ def trans_t1(n: int, k: int) -> Prediction:
         case_id = "3.1c"
         numerator, denominator = 4 * k * (n * n + 2 * n - 1) - (n * n - 1), 8
     total = _exact_int(numerator, denominator, "trans/t1")
-    return Prediction(Algorithm.TRANS, Family.T1, n, k, case_id, total)
+    return Prediction(case_id, total)
 
 
 def trans_t2(n: int, k: int) -> Prediction:
@@ -141,7 +138,7 @@ def trans_t2(n: int, k: int) -> Prediction:
         case_id = "3.2b"
         numerator = k * (n * n + 2 * n - 1)  # 2k * ((n^2 + 2n - 3)/2 + 1)
     total = _exact_int(numerator, 2, "trans/t2")
-    return Prediction(Algorithm.TRANS, Family.T2, n, k, case_id, total)
+    return Prediction(case_id, total)
 
 
 _EVALUATORS = {
@@ -155,12 +152,7 @@ _EVALUATORS = {
 def as_algorithm(value: Algorithm | str) -> Algorithm:
     if isinstance(value, Algorithm):
         return value
-    try:
-        return Algorithm(str(value).lower())
-    except ValueError:
-        raise InvalidParameterError(
-            f"unknown algorithm {value!r}; expected one of {[a.value for a in Algorithm]}"
-        ) from None
+    return choose({algorithm.value: algorithm for algorithm in Algorithm}, value, "algorithm")
 
 
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:

@@ -67,3 +67,11 @@ def check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
     if lo > hi:
         raise InvalidParameterError(f"{name} range is empty: {lo}..{hi}")
     return lo, hi
+
+
+def choose(table: dict, name, kind: str):
+    """``table[str(name).lower()]``, or InvalidParameterError naming ``name`` as given."""
+    try:
+        return table[str(name).lower()]
+    except KeyError:
+        raise InvalidParameterError(f"unknown {kind} {name!r}; expected one of {list(table)}") from None

@@ -101,9 +101,9 @@ def verify_grid(
     k_range: tuple[int, int],
     model: CostModel = CostModel.FULL,
 ) -> VerificationReport:
-    """Compare simulation against prediction on every cell of the grid."""
-    algorithms = tuple(as_algorithm(a) for a in algorithms)
-    families = tuple(as_family(f) for f in families)
+    """Compare simulation against prediction on every cell of the grid (each rule or family once)."""
+    algorithms = tuple(dict.fromkeys(as_algorithm(a) for a in algorithms))
+    families = tuple(dict.fromkeys(as_family(f) for f in families))
     if not algorithms or not families:
         raise InvalidParameterError("need at least one algorithm and one family")
     n_lo, n_hi = check_range(n_range, "n")

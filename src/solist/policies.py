@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import InvalidParameterError, ItemNotInListError, check_int
+from .errors import ItemNotInListError, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .seqgen import RequestSequence
 
@@ -213,13 +213,7 @@ _FACTORIES = {
 
 def make_policy(name: str) -> Policy:
     """Build a fresh policy from its short name ('mtf', 'trans', 'fc')."""
-    try:
-        factory = _FACTORIES[name.lower()]
-    except (KeyError, AttributeError):
-        raise InvalidParameterError(
-            f"unknown policy {name!r}; expected one of {sorted(_FACTORIES)}"
-        ) from None
-    return factory()
+    return choose(_FACTORIES, name, "policy")()
 
 
 def serve(

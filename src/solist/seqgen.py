@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_ids, check_int
+from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_ids, check_int, choose
 from .list_core import ListState, PeriodicView, as_view
 
 __all__ = [
@@ -39,12 +39,7 @@ class Family(Enum):
 def as_family(value: Family | str) -> Family:
     if isinstance(value, Family):
         return value
-    try:
-        return Family(str(value).upper())
-    except ValueError:
-        raise InvalidParameterError(
-            f"unknown family {value!r}; expected 'T1' or 'T2'"
-        ) from None
+    return choose({family.value.lower(): family for family in Family}, value, "family")
 
 
 @dataclass(frozen=True)

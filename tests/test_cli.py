@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exact output text and exit codes."""
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -61,6 +62,18 @@ def test_simulate_from_files(capsys, tmp_path):
     )
     assert code == 0
     assert out == "total 10\n"
+
+
+def test_simulate_from_files_with_byte_order_marks(capsys, tmp_path):
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text("\ufeff3, 1, 2\n", encoding="utf-8")
+    seq_file.write_text("\ufeff1 2\n2, 3\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "simulate", "--algo", "fc",
+        "--list-file", str(list_file), "--seq-file", str(seq_file),
+    )
+    assert (code, out, err) == (0, "total 10\n", "")
 
 
 def test_simulate_per_pass_without_structure(capsys, tmp_path):
@@ -222,7 +235,7 @@ def test_verify_output_file(capsys, tmp_path):
 def test_verify_reports_mismatches(capsys, monkeypatch):
     def off_by_one(algorithm, family, n, k):
         true = predict(algorithm, family, n, k)
-        return Prediction(true.algorithm, true.family, true.n, true.k, true.case_id, true.total + 1)
+        return Prediction(true.case_id, true.total + 1)
 
     monkeypatch.setattr(solist.harness, "predict", off_by_one)
     code, out, _ = run_cli(capsys, "verify", "--algo", "mtf", "--seq", "t1", "--n", "2..2", "--k", "1..1")
@@ -424,6 +437,22 @@ def test_module_entry_point_is_byte_deterministic(tmp_path):
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"n,k,family,mtf_cost,trans_cost\n")
     assert len(first.stdout.splitlines()) == 11
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_command_silently():
+    # As `solist compare ... | head -1`: the reader leaves after one line,
+    # while the command still has megabytes of rows to write.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "solist", "compare", "--seq", "t1", "--n", "5", "--k", "1..300000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n,k,family,mtf_cost,trans_cost\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == -signal.SIGPIPE
+    assert err == b""
 
 
 def _limit_address_space():

@@ -86,11 +86,6 @@ def test_trans_t2_case_dispatch():
     assert trans_t2(5, 1).case_id == "3.2b"
 
 
-def test_prediction_carries_parameters():
-    p = predict("mtf", "t1", 6, 2)
-    assert (p.algorithm, p.family, p.n, p.k) == (Algorithm.MTF, Family.T1, 6, 2)
-
-
 def test_predict_accepts_strings_and_enums():
     assert predict("trans", "T2", 4, 1) == trans_t2(4, 1)
     assert predict(Algorithm.MTF, Family.T1, 4, 2) == mtf_t1(4, 2)

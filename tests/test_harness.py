@@ -74,11 +74,18 @@ def test_report_records_parameters():
     assert report.model is CostModel.PARTIAL
 
 
+def test_repeated_names_are_verified_once():
+    report = verify_grid(["mtf", "MTF"], ["T1", "t1"], (1, 2), (1, 2))
+    assert report.algorithms == (Algorithm.MTF,)
+    assert report.families == (Family.T1,)
+    assert len(report.cells) == 4
+
+
 def _predict_off_by_one(monkeypatch):
     """Make every prediction verify_grid reads one more than the closed form's."""
     def off_by_one(algorithm, family, n, k):
         true = predict(algorithm, family, n, k)
-        return type(true)(algorithm, family, n, k, true.case_id, true.total + 1)
+        return type(true)(true.case_id, true.total + 1)
 
     monkeypatch.setattr(harness, "predict", off_by_one)
 
@@ -322,7 +329,7 @@ def _defective_trans(monkeypatch, family, offset):
 
     def evaluator(n, k):
         mtf = predict(Algorithm.MTF, family, n, k)
-        return Prediction(Algorithm.TRANS, family, n, k, "defect", mtf.total + offset(k))
+        return Prediction("defect", mtf.total + offset(k))
 
     monkeypatch.setitem(closed_form._EVALUATORS, (Algorithm.TRANS, family), evaluator)
 

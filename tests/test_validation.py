@@ -1,24 +1,33 @@
-"""Integer-parameter validation, one table for every public entry point.
+"""Integer-parameter and name validation, one table each for every
+public entry point.
 
 Each entry names one integer parameter, a call that passes the value
 under test in that position, and the smallest integer it accepts. A
 bool, a float, and anything below the minimum must be rejected with
 InvalidParameterError. Repetition counts of generated sequences accept
 k=0 (the empty sequence); the closed forms and the harness need k >= 1.
+
+Each name lookup accepts its names in any case and rejects any other
+value with one message: the value as passed and the names it knows.
 """
 
 import pytest
 
 from solist import (
+    Algorithm,
+    Family,
     FrequencyCount,
     InvalidParameterError,
     ListState,
+    MoveToFront,
+    Transpose,
     crossover,
     expected_pass_costs,
     explicit_sequence,
     gen_perm_power,
     gen_t1,
     gen_t2,
+    make_policy,
     mtf_t1,
     mtf_t2,
     per_pass_profile,
@@ -27,6 +36,8 @@ from solist import (
     trans_t2,
     verify_grid,
 )
+from solist.closed_form import as_algorithm
+from solist.seqgen import as_family
 
 ENTRY_POINTS = {
     "ListState.initial.n": (lambda v: ListState.initial(v), 1),
@@ -76,3 +87,23 @@ def test_integer_parameters(entry, value):
 def test_smallest_accepted_value(entry):
     call, minimum = ENTRY_POINTS[entry]
     call(minimum)
+
+
+LOOKUPS = {
+    "family": (as_family, {"t1": Family.T1, "t2": Family.T2}),
+    "algorithm": (as_algorithm, {"mtf": Algorithm.MTF, "trans": Algorithm.TRANS}),
+    "policy": (make_policy, {"mtf": MoveToFront, "trans": Transpose, "fc": FrequencyCount}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOOKUPS))
+def test_name_lookups(kind):
+    lookup, names = LOOKUPS[kind]
+    for name, expected in names.items():
+        for spelling in (name, name.upper(), name.capitalize()):
+            value = lookup(spelling)
+            assert (type(value) if kind == "policy" else value) is expected
+    for bad in ("t3", "", None, 1):
+        with pytest.raises(InvalidParameterError) as caught:
+            lookup(bad)
+        assert str(caught.value) == f"unknown {kind} {bad!r}; expected one of {list(names)}"
