@@ -195,11 +195,9 @@ def _trans_minus_mtf(family: Family, n: int, k: int) -> int:
 def _piece(family: Family, n: int, a: int, b: int):
     """trans - mtf on k = a..b as a function of j = k - a, with the runs of
     j on which it is monotone."""
-    if b - a < 3:
-        values = [_trans_minus_mtf(family, n, k) for k in range(a, b + 1)]
-        return values.__getitem__, [(j, j) for j in range(len(values))]
     # Both totals are of degree <= 2 in k on a case interval, so three
-    # points fix the difference; the far end checks it.
+    # points fix the difference; the far end checks it. Past b, k = a + 1
+    # and a + 2 may lie on the next case: the fit is still exact up to b.
     d0, d1, d2 = (_trans_minus_mtf(family, n, k) for k in (a, a + 1, a + 2))
     step, curve = d1 - d0, d2 - 2 * d1 + d0
 

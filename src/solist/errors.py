@@ -4,7 +4,6 @@ __all__ = [
     "SolistError",
     "ItemNotInListError",
     "InvalidParameterError",
-    "NotAPermutationError",
     "ParseError",
 ]
 
@@ -32,10 +31,6 @@ class ItemNotInListError(SolistError, LookupError):
 
 class InvalidParameterError(SolistError, ValueError):
     """A parameter is outside its documented domain (e.g. n < 1)."""
-
-
-class NotAPermutationError(SolistError, ValueError):
-    """A value that must be a permutation has duplicate or missing items."""
 
 
 class ParseError(SolistError, ValueError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .errors import InvalidParameterError, check_ids, check_int
+from .errors import InvalidParameterError, check_ids, check_int, choose
 
 __all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
@@ -34,6 +34,10 @@ class CostModel(Enum):
 
     FULL = "full"
     PARTIAL = "partial"
+
+    @classmethod
+    def _missing_(cls, name):
+        return choose({model.value: model for model in cls}, name, "cost model")
 
     @classmethod
     def discount(cls, model: "CostModel") -> int:
@@ -90,8 +94,9 @@ class PeriodicView(Sequence):
     It stores only ``head`` and one copy of ``cycle``, so a run of k
     repeated passes costs memory for its preperiod and one period, not
     for k passes. ``len`` and indexing are O(1); a slice is returned as a
-    tuple. It compares equal to a tuple of the same elements and to any
-    view of them, however split into head and cycle.
+    tuple; ``in`` reads only the stored elements. It compares equal to a
+    tuple of the same elements and to any view of them, however split into
+    head and cycle, so it is not hashable.
     """
 
     __slots__ = ("_head", "_cycle", "_length")
@@ -137,6 +142,9 @@ class PeriodicView(Sequence):
         """The elements held in memory that lie within the sequence."""
         return chain(self._head, islice(self._cycle, self._length - len(self._head)))
 
+    def __contains__(self, value) -> bool:
+        return any(v is value or v == value for v in self.stored())
+
     def total(self, stop: int | None = None):
         """Sum of the first ``stop`` elements (of all of them by default),
         in O(stored elements) for any ``stop``."""
@@ -163,10 +171,6 @@ class PeriodicView(Sequence):
         stop = max(len(self._head), len(other._head)) + math.lcm(len(self._cycle) or 1, len(other._cycle) or 1)
         differs = map(operator.ne, islice(self, stop), islice(other, stop))
         return next(itertools.compress(itertools.count(), differs), None)
-
-    def __hash__(self) -> int:
-        # Equal views agree on their length and on their first elements.
-        return hash((self._length, tuple(islice(self, 16))))
 
     def __repr__(self) -> str:
         return f"PeriodicView({self._head!r}, {self._cycle!r}, {self._length})"

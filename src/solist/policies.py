@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import ItemNotInListError, check_int, choose
+from .errors import ItemNotInListError, check_ids, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .seqgen import RequestSequence
 
@@ -171,6 +171,7 @@ class FrequencyCount(Policy):
     counters: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_ids(self.counters, "each counted item")
         for item, count in self.counters.items():
             check_int(count, f"counter for item {item}", minimum=0)
         object.__setattr__(self, "counters", dict(self.counters))
@@ -227,8 +228,8 @@ def serve(
     Behaves exactly like folding ``policy.step`` over the requests, but
     runs on a single working copy of the arrangement so that large
     verification grids stay fast. A sequence has passes when it is
-    repetitions of one block (``RequestSequence.repeat``, ``gen_t1``,
-    ``gen_t2``, ``gen_perm_power``); the ledger then also records per-pass
+    repetitions of one block (``RequestSequence.repeat``, which ``gen_t1``
+    and ``gen_t2`` build on); the ledger then also records per-pass
     subtotals and the configuration snapshot at every pass boundary. Any
     other sequence is served as one pass over all of its requests.
 

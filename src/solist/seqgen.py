@@ -4,8 +4,8 @@ The two generated families repeat one fixed permutation of the list k
 times: t1 repeats the list's own order (an ascending scan), t2 repeats
 the reversed order (a descending scan). Both are deliberately free of
 locality of reference: within a pass every item is requested exactly
-once. ``gen_perm_power`` generalizes them to any repeated permutation,
-and explicit sequences can be ingested from text.
+once. ``RequestSequence.repeat`` repeats any block, and explicit
+sequences can be ingested from text.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidParameterError, NotAPermutationError, ParseError, check_ids, check_int, choose
+from .errors import InvalidParameterError, ParseError, check_ids, check_int, choose
 from .list_core import ListState, PeriodicView, as_view
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "RequestSequence",
     "gen_t1",
     "gen_t2",
-    "gen_perm_power",
     "explicit_sequence",
     "parse_list_file",
     "parse_sequence_file",
@@ -64,6 +63,7 @@ class RequestSequence:
         """``block`` requested k times over, one pass per repetition."""
         check_int(k, "k", minimum=0)
         block = tuple(block)
+        check_ids(block, "each item")
         check_int(len(block), "block length")
         return cls(PeriodicView((), block, len(block) * k))
 
@@ -91,18 +91,6 @@ def gen_t2(n: int, k: int) -> RequestSequence:
     """(n, n-1, ..., 1) repeated k times."""
     check_int(n, "n")
     return RequestSequence.repeat(ListState.initial(n).order[::-1], k)
-
-
-def gen_perm_power(perm: Sequence[int], k: int) -> RequestSequence:
-    """An arbitrary permutation of 1..n repeated k times."""
-    perm = tuple(perm)
-    check_ids(perm, "each item")
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise NotAPermutationError(
-            f"{perm!r} is not a permutation of 1..{n} (duplicate or missing item)"
-        )
-    return RequestSequence.repeat(perm, k)
 
 
 def explicit_sequence(items: Iterable[int]) -> RequestSequence:

@@ -19,7 +19,6 @@ from solist import (
     CostModel,
     ListState,
     RequestSequence,
-    gen_perm_power,
     make_policy,
     predict,
     serve,
@@ -80,7 +79,7 @@ def repeated_permutations(draw, max_n=6):
     start = draw(st.permutations(list(range(1, n + 1))))
     perm = draw(st.permutations(list(range(1, n + 1))))
     k = draw(st.integers(min_value=0, max_value=4 * n + 2))
-    return ListState(tuple(start)), gen_perm_power(perm, k)
+    return ListState(tuple(start)), RequestSequence.repeat(perm, k)
 
 
 @st.composite

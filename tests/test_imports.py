@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-the package exports each public name that one module declares, once.
+the package exports each public name that one module declares, once, and
+that code outside the tests uses.
 Importing the package loads none of its modules, and each subcommand
 loads only the modules it runs.
 
@@ -25,10 +26,10 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 # The package's public API. A change to it shows up as a diff here.
 PUBLIC_API = [
     "AccessOutcome", "Algorithm", "CostLedger", "CostModel", "Family", "FrequencyCount", "GridCell", "InvalidParameterError",
-    "ItemNotInListError", "ListState", "MoveToFront", "NotAPermutationError",
+    "ItemNotInListError", "ListState", "MoveToFront",
     "ParseError", "PassProfile", "PeriodicView", "Policy", "Prediction",
     "RequestSequence", "SolistError", "Transpose", "VerificationReport",
-    "crossover", "expected_pass_costs", "explicit_sequence", "gen_perm_power",
+    "crossover", "expected_pass_costs", "explicit_sequence",
     "gen_t1", "gen_t2", "make_policy", "mtf_t1", "mtf_t2", "parse_list_file",
     "parse_sequence_file", "per_pass_profile", "predict", "serve", "trans_t1",
     "trans_t2", "verify_grid",
@@ -75,6 +76,28 @@ def test_each_public_name_is_declared_by_one_module_and_exported_as_itself():
             assert getattr(module, name).__module__ == module.__name__
     for name in solist.__all__:
         assert getattr(solist, name) is getattr(declared[name], name)
+
+
+def referenced_names(paths) -> set[str]:
+    """Every identifier that the code in ``paths`` reads as a name, as an
+    attribute or through an import."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used_outside_tests():
+    root = PACKAGE.parent.parent
+    paths = [*PACKAGE.glob("*.py"), *(root / "demos").rglob("*.py"), *(root / "bench").rglob("*.py")]
+    paths = [path for path in paths if not path.name.startswith("test_")]
+    assert sorted(set(solist.__all__) - referenced_names(paths)) == []
 
 
 def fresh(code: str, *argv: str):

@@ -16,7 +16,6 @@ from solist import (
     RequestSequence,
     Transpose,
     explicit_sequence,
-    gen_perm_power,
     gen_t1,
     gen_t2,
     make_policy,
@@ -327,7 +326,7 @@ def perm_powers(draw, max_n=7):
     start = draw(st.permutations(list(range(1, n + 1))))
     perm = draw(st.permutations(list(range(1, n + 1))))
     k = draw(st.integers(min_value=0, max_value=3 * n))
-    return ListState(tuple(start)), gen_perm_power(perm, k)
+    return ListState(tuple(start)), RequestSequence.repeat(perm, k)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])

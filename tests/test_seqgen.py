@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 from solist import (
     Family,
     InvalidParameterError,
-    NotAPermutationError,
     ParseError,
     RequestSequence,
     explicit_sequence,
-    gen_perm_power,
     gen_t1,
     gen_t2,
     parse_list_file,
@@ -49,33 +47,24 @@ def test_one_pass_of_t2_is_reversed_t1():
         assert gen_t2(n, 1).requests == tuple(reversed(gen_t1(n, 1).requests))
 
 
-def test_gen_perm_power_small():
-    seq = gen_perm_power((2, 1, 3), 2)
+def test_repeat_small():
+    seq = RequestSequence.repeat((2, 1, 3), 2)
     assert seq.requests == (2, 1, 3, 2, 1, 3)
     assert seq.block == (2, 1, 3)
 
 
-def test_gen_perm_power_identity_is_t1():
-    assert gen_perm_power((1, 2, 3, 4), 3) == gen_t1(4, 3)
+def test_repeat_identity_is_t1():
+    assert RequestSequence.repeat((1, 2, 3, 4), 3) == gen_t1(4, 3)
 
 
-def test_gen_perm_power_reversal_is_t2():
-    assert gen_perm_power((4, 3, 2, 1), 2) == gen_t2(4, 2)
+def test_repeat_reversal_is_t2():
+    assert RequestSequence.repeat((4, 3, 2, 1), 2) == gen_t2(4, 2)
 
 
-def test_gen_perm_power_rejects_non_permutations():
-    with pytest.raises(NotAPermutationError):
-        gen_perm_power((1, 1, 2), 1)
-    with pytest.raises(NotAPermutationError):
-        gen_perm_power((1, 3), 1)  # missing 2
-    with pytest.raises(InvalidParameterError):
-        gen_perm_power((), 1)
-
-
-@pytest.mark.parametrize("perm, bad", [((1.0, 2.0), "1.0"), ((True,), "True"), ((1, "a"), "'a'")], ids=repr)
-def test_gen_perm_power_rejects_items_that_are_not_ids(perm, bad):
+@pytest.mark.parametrize("block, bad", [((1.0, 2.0), "1.0"), ((True,), "True"), ((1, "a"), "'a'")], ids=repr)
+def test_repeat_rejects_items_that_are_not_ids(block, bad):
     with pytest.raises(InvalidParameterError, match=f"each item must be a positive integer, got {bad}"):
-        gen_perm_power(perm, 2)
+        RequestSequence.repeat(block, 2)
 
 
 @given(n=st.integers(min_value=1, max_value=20), k=st.integers(min_value=0, max_value=10))
@@ -104,7 +93,7 @@ def test_explicit_sequence_keeps_items():
 def test_block_is_set_only_for_repetitions_of_one_block():
     assert gen_t1(3, 4).block == (1, 2, 3)
     assert gen_t2(3, 0).block == (3, 2, 1)
-    assert gen_perm_power((2, 1, 3), 5).block == (2, 1, 3)
+    assert RequestSequence.repeat((2, 1, 3), 5).block == (2, 1, 3)
     assert len(gen_t1(50, 10**12)) == 50 * 10**12
     assert RequestSequence(PeriodicView((), (2, 1), 6)).block == (2, 1)
     # An explicit stream is held as a head, even when it repeats.

@@ -15,16 +15,17 @@ import pytest
 
 from solist import (
     Algorithm,
+    CostModel,
     Family,
     FrequencyCount,
     InvalidParameterError,
     ListState,
     MoveToFront,
+    RequestSequence,
     Transpose,
     crossover,
     expected_pass_costs,
     explicit_sequence,
-    gen_perm_power,
     gen_t1,
     gen_t2,
     make_policy,
@@ -48,12 +49,13 @@ ENTRY_POINTS = {
     "ListState.item_after_1000": (lambda v: ListState(tuple(range(2, 1002)) + (v,)), 1),
     "explicit_sequence.item_after_1000": (lambda v: explicit_sequence((1,) * 1000 + (v,)), 1),
     "FrequencyCount.counter": (lambda v: FrequencyCount(counters={1: v}), 0),
+    "FrequencyCount.counted_item": (lambda v: FrequencyCount(counters={v: 1}), 1),
     "gen_t1.n": (lambda v: gen_t1(v, 1), 1),
     "gen_t1.k": (lambda v: gen_t1(3, v), 0),
     "gen_t2.n": (lambda v: gen_t2(v, 1), 1),
     "gen_t2.k": (lambda v: gen_t2(3, v), 0),
-    "gen_perm_power.k": (lambda v: gen_perm_power((2, 1, 3), v), 0),
-    "gen_perm_power.item": (lambda v: gen_perm_power((v,), 1), 1),
+    "RequestSequence.repeat.k": (lambda v: RequestSequence.repeat((2, 1, 3), v), 0),
+    "RequestSequence.repeat.item": (lambda v: RequestSequence.repeat((v,), 1), 1),
     "predict.n": (lambda v: predict("trans", "T1", v, 1), 1),
     "predict.k": (lambda v: predict("trans", "T1", 3, v), 1),
     "expected_pass_costs.n": (lambda v: expected_pass_costs("mtf", "T2", v, 1), 1),
@@ -92,6 +94,7 @@ def test_smallest_accepted_value(entry):
 LOOKUPS = {
     "family": (as_family, {"t1": Family.T1, "t2": Family.T2}),
     "algorithm": (as_algorithm, {"mtf": Algorithm.MTF, "trans": Algorithm.TRANS}),
+    "cost model": (CostModel, {"full": CostModel.FULL, "partial": CostModel.PARTIAL}),
     "policy": (make_policy, {"mtf": MoveToFront, "trans": Transpose, "fc": FrequencyCount}),
 }
 
