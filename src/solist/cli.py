@@ -20,7 +20,8 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
-from .errors import InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
+from .errors import (InvalidParameterError, ItemNotInListError, ParseError, SolistError, as_family, check_int,
+                     check_range)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
     from .policies import make_policy, serve
-    from .seqgen import GENERATORS, as_family, parse_list_file, parse_sequence_file
+    from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -204,7 +205,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .closed_form import Algorithm, predict
-    from .seqgen import as_family
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
     family = as_family(args.seq)
@@ -226,7 +226,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     from .closed_form import crossover
-    from .seqgen import as_family
     family = as_family(args.seq)
     n_lo, n_hi = check_range(args.n, "n")
     check_int(args.kmax, "k_max")

@@ -20,12 +20,10 @@ with n odd), "3.2a"/"3.2b" (trans/t2: n even, n odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import SolistError, check_int, choose
-from .list_core import PeriodicView
-from .seqgen import Family, as_family
+from .errors import Family, SolistError, as_family, check_int, choose
 
 __all__ = [
     "Algorithm",
@@ -47,8 +45,7 @@ class Algorithm(Enum):
     TRANS = "trans"
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """An exact predicted grand total, and the label of the closed-form
     case that gave it."""
 
@@ -169,6 +166,7 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     transpose/t1's case break) and its cycle the one steady per-pass cost,
     so it takes O(n) memory at any k.
     """
+    from .list_core import PeriodicView  # here, so that the closed forms load no simulation module
     algorithm = as_algorithm(algorithm)
     family = as_family(family)
     check_int(n, "n")

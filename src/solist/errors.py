@@ -1,6 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types, input checks and the request-sequence families: every other module imports this one."""
+
+from enum import Enum
 
 __all__ = [
+    "Family",
     "SolistError",
     "ItemNotInListError",
     "InvalidParameterError",
@@ -70,3 +73,16 @@ def choose(table: dict, name, kind: str):
         return table[str(name).lower()]
     except KeyError:
         raise InvalidParameterError(f"unknown {kind} {name!r}; expected one of {list(table)}") from None
+
+
+class Family(Enum):
+    """The generated request-sequence families."""
+
+    T1 = "T1"  # the initial list order, repeated k times
+    T2 = "T2"  # the reversed list order, repeated k times
+
+
+def as_family(value: Family | str) -> Family:
+    if isinstance(value, Family):
+        return value
+    return choose({family.value.lower(): family for family in Family}, value, "family")

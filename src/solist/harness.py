@@ -12,14 +12,13 @@ per pass of n requests. Cells are assembled deterministically in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .closed_form import Algorithm, as_algorithm, expected_pass_costs, predict
-from .errors import InvalidParameterError, check_int, check_range
+from .errors import Family, InvalidParameterError, as_family, check_int, check_range
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
-from .seqgen import GENERATORS, Family, as_family
+from .seqgen import GENERATORS
 
 __all__ = [
     "GridCell",
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One verified configuration. ``first_divergence`` is the 1-based
     index of the first request of the first pass whose simulated subtotal
     deviates from the predicted per-pass decomposition (None when the
@@ -48,8 +46,7 @@ class GridCell:
     first_divergence: int | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     algorithms: tuple[Algorithm, ...]
     families: tuple[Family, ...]
     n_range: tuple[int, int]
@@ -70,8 +67,7 @@ class VerificationReport:
         return self.mismatch_count == 0
 
 
-@dataclass(frozen=True)
-class PassProfile:
+class PassProfile(NamedTuple):
     """Simulated per-pass costs and pass-end configurations (full model),
     as the views of the run's ``CostLedger``."""
 
@@ -133,17 +129,8 @@ def verify_grid(
                             row_divergence = _first_divergence(ledger, algorithm, family, n, k_hi, model) or 0
                         if 0 < row_divergence <= (k - 1) * n + 1:
                             divergence = row_divergence
-                    cells.append(
-                        GridCell(algorithm, family, n, k, simulated, predicted, match, divergence)
-                    )
-    return VerificationReport(
-        algorithms=algorithms,
-        families=families,
-        n_range=(n_lo, n_hi),
-        k_range=(k_lo, k_hi),
-        model=model,
-        cells=tuple(cells),
-    )
+                    cells.append(GridCell(algorithm, family, n, k, simulated, predicted, match, divergence))
+    return VerificationReport(algorithms, families, (n_lo, n_hi), (k_lo, k_hi), model, tuple(cells))
 
 
 def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PassProfile:

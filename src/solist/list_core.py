@@ -94,9 +94,9 @@ class PeriodicView(Sequence):
     It stores only ``head`` and one copy of ``cycle``, so a run of k
     repeated passes costs memory for its preperiod and one period, not
     for k passes. ``len`` and indexing are O(1); a slice is returned as a
-    tuple; ``in`` reads only the stored elements. It compares equal to a
-    tuple of the same elements and to any view of them, however split into
-    head and cycle, so it is not hashable.
+    tuple; ``in``, ``index`` and ``count`` read only the stored elements.
+    It compares equal to a tuple of the same elements and to any view of
+    them, however split into head and cycle, so it is not hashable.
     """
 
     __slots__ = ("_head", "_cycle", "_length")
@@ -144,6 +144,18 @@ class PeriodicView(Sequence):
 
     def __contains__(self, value) -> bool:
         return any(v is value or v == value for v in self.stored())
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        # Past the head each element recurs one period on, so the first
+        # occurrence from start lies within the head and one period.
+        start, stop, _ = slice(start, stop).indices(self._length)
+        return super().index(value, start, min(stop, max(start, len(self._head)) + len(self._cycle)))
+
+    def count(self, value) -> int:
+        # The sum of a view of the same shape holding 1 where an element matches.
+        hits = [v is value or v == value for v in self.stored()]
+        skip = len(self._head)
+        return PeriodicView(tuple(hits[:skip]), tuple(hits[skip:]), self._length).total()
 
     def total(self, stop: int | None = None):
         """Sum of the first ``stop`` elements (of all of them by default),

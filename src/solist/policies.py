@@ -11,9 +11,9 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .errors import ItemNotInListError, check_ids, check_int, choose
+from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .seqgen import RequestSequence
 
@@ -63,8 +63,7 @@ def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, Callable[[str]
     return token_of, width, decode
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """Result of serving one request: the charged cost, the reorganized
     list, and the policy value to use for the next request (carries the
     updated counters for frequency count)."""
@@ -181,6 +180,9 @@ class FrequencyCount(Policy):
 
     def _start_run(self, initial: ListState) -> _Run:
         token_of, width, decode = _encode(initial.order)
+        stray = self.counters.keys() - token_of.keys()
+        if stray:
+            raise InvalidParameterError(f"counted item {min(stray)} is not in the list")
         s = "".join(token_of.values())
         along = [self.counters.get(item, 0) for item in initial.order]
 

@@ -11,14 +11,12 @@ sequences can be ingested from text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidParameterError, ParseError, check_ids, check_int, choose
+from .errors import Family, InvalidParameterError, ParseError, check_ids, check_int
 from .list_core import ListState, PeriodicView, as_view
 
 __all__ = [
-    "Family",
     "RequestSequence",
     "gen_t1",
     "gen_t2",
@@ -26,19 +24,6 @@ __all__ = [
     "parse_list_file",
     "parse_sequence_file",
 ]
-
-
-class Family(Enum):
-    """The generated request-sequence families."""
-
-    T1 = "T1"  # the initial list order, repeated k times
-    T2 = "T2"  # the reversed list order, repeated k times
-
-
-def as_family(value: Family | str) -> Family:
-    if isinstance(value, Family):
-        return value
-    return choose({family.value.lower(): family for family in Family}, value, "family")
 
 
 @dataclass(frozen=True)

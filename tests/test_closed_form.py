@@ -86,6 +86,14 @@ def test_trans_t2_case_dispatch():
     assert trans_t2(5, 1).case_id == "3.2b"
 
 
+def test_prediction_fields_and_repr():
+    prediction = predict("trans", "t1", 4, 2)
+    assert (prediction.case_id, prediction.total) == ("3.1a", 21)
+    assert repr(prediction) == "Prediction(case_id='3.1a', total=21)"
+    with pytest.raises(AttributeError):
+        prediction.total = 0
+
+
 def test_predict_accepts_strings_and_enums():
     assert predict("trans", "T2", 4, 1) == trans_t2(4, 1)
     assert predict(Algorithm.MTF, Family.T1, 4, 2) == mtf_t1(4, 2)

@@ -23,10 +23,10 @@ from solist import (
     verify_grid,
 )
 from solist import closed_form, harness
-from solist.errors import check_int
+from solist.errors import as_family, check_int
 from solist.harness import _first_divergence
 from solist.list_core import PeriodicView
-from solist.seqgen import GENERATORS, as_family
+from solist.seqgen import GENERATORS
 
 
 def test_single_cell_matches():
@@ -39,6 +39,12 @@ def test_single_cell_matches():
     assert cell.first_divergence is None
     assert report.passed
     assert report.mismatch_count == 0
+    assert repr(cell) == (
+        "GridCell(algorithm=<Algorithm.MTF: 'mtf'>, family=<Family.T1: 'T1'>, n=4, k=2, "
+        "simulated=26, predicted=26, match=True, first_divergence=None)"
+    )
+    with pytest.raises(AttributeError):
+        cell.match = False
 
 
 def test_single_cell_partial_model():

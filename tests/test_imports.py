@@ -112,11 +112,17 @@ def fresh(code: str, *argv: str):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-LOADED = "json.dumps(sorted(m for m in sys.modules if m.startswith('solist')))"
+# The package's modules and dataclasses (which imports inspect) loaded so far.
+LOADED = "json.dumps(sorted(m for m in sys.modules if m.startswith('solist') or m == 'dataclasses'))"
 
 
 def test_importing_the_package_loads_no_module():
     assert fresh(f"import json, sys, solist; print({LOADED})") == ["solist"]
+
+
+def test_a_closed_form_loads_only_the_closed_form_module():
+    code = f"import json, sys\nfrom solist import predict\nprint({LOADED})"
+    assert fresh(code) == ["solist", "solist.closed_form", "solist.errors"]
 
 
 def test_star_import_binds_exactly_the_public_api():
@@ -138,19 +144,20 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
 
 # What each subcommand loads, at sizes small enough to run in milliseconds.
 # A module imported at the top of cli, or of a module a command uses,
-# shows up here as a diff.
+# shows up here as a diff. The closed-form commands load no dataclasses.
 COMMAND_MODULES = [
     (["--help"], []),
     (["predict", "--algo", "trans", "--seq", "t1", "--n", "5", "--k", "3"],
-     ["closed_form", "list_core", "seqgen"]),
+     ["solist.closed_form"]),
     (["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2"],
-     ["list_core", "policies", "seqgen"]),
+     ["dataclasses", "solist.list_core", "solist.policies", "solist.seqgen"]),
     (["compare", "--seq", "t2", "--n", "3", "--k", "1..2"],
-     ["closed_form", "list_core", "seqgen"]),
+     ["solist.closed_form"]),
     (["crossover", "--seq", "t1", "--n", "1..3", "--kmax", "5"],
-     ["closed_form", "list_core", "seqgen"]),
+     ["solist.closed_form"]),
     (["verify", "--n", "1..2", "--k", "1..2"],
-     ["closed_form", "harness", "list_core", "policies", "seqgen"]),
+     ["dataclasses", "solist.closed_form", "solist.harness", "solist.list_core", "solist.policies",
+      "solist.seqgen"]),
 ]
 
 
@@ -162,5 +169,5 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
         "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
         f"print({LOADED})"
     )
-    expected = sorted(["solist", "solist.cli", "solist.errors"] + [f"solist.{name}" for name in modules])
+    expected = sorted(["solist", "solist.cli", "solist.errors", *modules])
     assert fresh(code, *argv) == expected

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -199,6 +201,68 @@ def test_membership_reads_only_the_stored_elements():
     configs = serve(make_policy("mtf"), ListState.initial(5), gen_t1(5, 10**12)).pass_end_configs
     assert ListState((5, 4, 3, 2, 1)) in configs
     assert ListState.initial(5) not in configs
+
+
+def test_index_and_count_read_only_the_stored_elements():
+    compared = []
+
+    class Probe:
+        def __eq__(self, other):
+            compared.append(other)
+            assert len(compared) <= 3, "compared past the three stored elements"
+            return False
+
+    probes = (Probe(), Probe(), Probe())
+    view = PeriodicView(probes[:1], probes[1:], 10**12)
+    with pytest.raises(ValueError):
+        view.index(7)
+    assert compared == [7, 7, 7]
+    compared.clear()
+    assert view.count(7) == 0
+    assert compared == [7, 7, 7]
+    compared.clear()
+    assert view.index(probes[2]) == 2
+    assert view.index(probes[2], 10**11) == 10**11
+    assert view.index(probes[1], -3) == 10**12 - 3
+    compared.clear()
+    assert view.count(probes[2]) == (10**12 - 1) // 2
+    # Every pass of mtf on t1 ends reversed, at any number of passes.
+    configs = serve(make_policy("mtf"), ListState.initial(5), gen_t1(5, 10**12)).pass_end_configs
+    assert configs.index(ListState((5, 4, 3, 2, 1))) == 0
+    assert configs.count(ListState((5, 4, 3, 2, 1))) == 10**12
+    assert configs.count(ListState.initial(5)) == 0
+
+
+@given(inst=views(), data=st.data())
+def test_index_and_count_match_the_expansion(inst, data):
+    view, expanded = inst
+    bounds = st.integers(-len(expanded) - 2, len(expanded) + 2)
+    start, stop = data.draw(bounds), data.draw(bounds)
+    for value in range(-1, 5):
+        assert view.count(value) == expanded.count(value)
+        for args in ((value,), (value, start), (value, start, stop)):
+            try:
+                expected = expanded.index(*args)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    view.index(*args)
+            else:
+                assert view.index(*args) == expected
+
+
+def test_replace_revalidates_states_and_ledgers():
+    # dataclasses.replace builds a new instance through __init__, so it
+    # runs the same checks as the constructor.
+    state = ListState((2, 1, 3))
+    assert dataclasses.replace(state) == state
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(state, order=(1, 1))
+    ledger = serve(make_policy("trans"), ListState.initial(4), gen_t1(4, 10))
+    assert dataclasses.replace(ledger) == ledger
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(ledger, per_request=PeriodicView((3,), (-1,), 4))
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(ledger, pass_totals=PeriodicView((), (1,), 10))
 
 
 def test_periodic_view_rejects_impossible_shapes():

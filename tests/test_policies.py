@@ -116,6 +116,16 @@ def test_fc_step_respects_equal_counters():
     assert outcome.new_policy.counter(2) == 1
 
 
+def test_fc_step_rejects_a_counter_for_an_item_not_in_the_list():
+    with pytest.raises(InvalidParameterError, match="99"):
+        FrequencyCount({99: 5}).step(ListState.initial(3), 1)
+
+
+def test_fc_serve_rejects_a_counter_for_an_item_not_in_the_list():
+    with pytest.raises(InvalidParameterError, match="99"):
+        serve(FrequencyCount({1: 2, 99: 5}), ListState.initial(3), gen_t1(3, 2))
+
+
 def test_fc_preseeded_counters_control_placement():
     policy = FrequencyCount(counters={1: 5, 2: 0, 3: 0})
     outcome = policy.step(ListState((1, 2, 3)), 3, CostModel.FULL)

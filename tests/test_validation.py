@@ -38,7 +38,7 @@ from solist import (
     verify_grid,
 )
 from solist.closed_form import as_algorithm
-from solist.seqgen import as_family
+from solist.errors import as_family
 
 ENTRY_POINTS = {
     "ListState.initial.n": (lambda v: ListState.initial(v), 1),
