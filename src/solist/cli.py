@@ -118,8 +118,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if family_source:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
-        initial = ListState.initial(args.n)
         sequence = GENERATORS[as_family(args.seq)](args.n, args.k)
+        initial = ListState.initial(args.n)
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
@@ -185,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ))
     else:
         lines = []
-        per_pair = (report.n_range[1] - report.n_range[0] + 1) * (report.k_range[1] - report.k_range[0] + 1)
+        per_pair = len(report.cells) // (len(report.algorithms) * len(report.families))
         bad = Counter((cell.algorithm, cell.family) for cell in mismatches)
         for algorithm in report.algorithms:
             for family in report.families:
@@ -239,6 +239,10 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Lift the int-to-str digit limit (3.10.7 on) once argv is read, so totals print at any size.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ParseError, ItemNotInListError, OSError) as exc:
@@ -247,6 +251,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, message = 2, str(exc)
     except MemoryError:
         code, message = 2, "not enough memory for these parameters"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     # Print only once the traceback and the frames it held (verify's cells,
     # say) are released: printing inside a handler can run out of memory too.
     print(f"error: {message}", file=sys.stderr)

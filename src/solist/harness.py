@@ -49,9 +49,6 @@ class GridCell(NamedTuple):
 class VerificationReport(NamedTuple):
     algorithms: tuple[Algorithm, ...]
     families: tuple[Family, ...]
-    n_range: tuple[int, int]
-    k_range: tuple[int, int]
-    model: CostModel
     cells: tuple[GridCell, ...]
 
     @property
@@ -80,9 +77,8 @@ def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostM
     return serve(make_policy(algorithm.value), ListState.initial(n), sequence, model)
 
 
-def _first_divergence(
-    ledger: CostLedger, algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel
-) -> int | None:
+def _first_divergence(ledger: CostLedger, algorithm: Algorithm, family: Family, model: CostModel) -> int | None:
+    n, k = ledger.final_state.n, len(ledger.pass_totals)
     full = expected_pass_costs(algorithm, family, n, k)
     less = n * CostModel.discount(model)
     expected = PeriodicView(tuple(cost - less for cost in full.head), tuple(cost - less for cost in full.cycle), k)
@@ -117,20 +113,16 @@ def verify_grid(
                 simulated = totals.total(k_lo - 1)
                 # Pass i's expected cost does not depend on k, so the row's
                 # first divergent request, found once at k_hi, is that of
-                # every mismatched cell whose passes reach it (0: none).
-                row_divergence = None
+                # every mismatched cell whose passes reach it.
+                divergence = _first_divergence(ledger, algorithm, family, model)
                 for k in range(k_lo, k_hi + 1):
                     simulated += totals[k - 1]
                     predicted = predict(algorithm, family, n, k).total - k * n * discount
                     match = simulated == predicted
-                    divergence = None
-                    if not match:
-                        if row_divergence is None:
-                            row_divergence = _first_divergence(ledger, algorithm, family, n, k_hi, model) or 0
-                        if 0 < row_divergence <= (k - 1) * n + 1:
-                            divergence = row_divergence
-                    cells.append(GridCell(algorithm, family, n, k, simulated, predicted, match, divergence))
-    return VerificationReport(algorithms, families, (n_lo, n_hi), (k_lo, k_hi), model, tuple(cells))
+                    reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
+                    cells.append(GridCell(algorithm, family, n, k, simulated, predicted, match,
+                                          divergence if reached else None))
+    return VerificationReport(algorithms, families, tuple(cells))
 
 
 def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PassProfile:

@@ -86,6 +86,7 @@ class Policy:
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
+        check_ids((item,), "each request")
         discount = CostModel.discount(model)
         advance, snapshot = self._start_run(state)
         try:

@@ -42,13 +42,14 @@ class RequestSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", as_view(self.requests))
+        check_ids(self.requests.head, "each request")
+        check_ids(self.requests.cycle, "each request")
 
     @classmethod
     def repeat(cls, block: Sequence[int], k: int) -> "RequestSequence":
         """``block`` requested k times over, one pass per repetition."""
         check_int(k, "k", minimum=0)
         block = tuple(block)
-        check_ids(block, "each item")
         check_int(len(block), "block length")
         return cls(PeriodicView((), block, len(block) * k))
 
@@ -81,9 +82,7 @@ def gen_t2(n: int, k: int) -> RequestSequence:
 def explicit_sequence(items: Iterable[int]) -> RequestSequence:
     """Wrap a literal request stream. It has no passes: ``serve`` serves
     it as one."""
-    items = tuple(items)
-    check_ids(items, "each request")
-    return RequestSequence(items)
+    return RequestSequence(tuple(items))
 
 
 GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,13 @@ def test_simulate_generated_family(capsys):
     assert code == 0
     assert out == "total 12\n"
     assert err == ""
+
+
+def test_simulate_bad_n_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--algo", "trans", "--seq", "t2", "--n", "0", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be a positive integer, got 0\n"
 
 
 def test_simulate_per_pass(capsys):
@@ -453,6 +461,63 @@ def test_closed_stdout_ends_the_command_silently():
         code = proc.wait(timeout=60)
     assert code == -signal.SIGPIPE
     assert err == b""
+
+
+@contextmanager
+def _digits_unlimited():
+    """Let ints of any size convert to and from str (3.10.7 on limits them)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+HUGE_N = 10**2200
+HUGE_K = 10**4299  # the most digits an argv int may have under the default limit
+
+
+def _expected_predict():
+    total = predict("mtf", "T1", HUGE_N, 1)
+    return f"algo mtf family T1 n {HUGE_N} k 1 case {total.case_id} total {total.total}\n", ""
+
+
+def _expected_compare():
+    rows = (f"{HUGE_N},{k},T2,{predict('mtf', 'T2', HUGE_N, k).total},{predict('trans', 'T2', HUGE_N, k).total}"
+            for k in (1, 2))
+    return "".join(f"{line}\n" for line in (solist.cli.COMPARE_HEADER, *rows)), ""
+
+
+def _expected_simulate():
+    return "", f"error: sequence length {10 * HUGE_K} exceeds the maximum {sys.maxsize}\n"
+
+
+# Totals and messages past the interpreter's 4300-digit str limit.
+HUGE_INT_CASES = {
+    "predict": (("predict", "--algo", "mtf", "--seq", "t1", "--n", str(HUGE_N), "--k", "1"), 0, _expected_predict),
+    "compare": (("compare", "--seq", "t2", "--n", str(HUGE_N), "--k", "1..2"), 0, _expected_compare),
+    "simulate": (("simulate", "--algo", "trans", "--seq", "t2", "--n", "10", "--k", str(HUGE_K)), 2,
+                 _expected_simulate),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INT_CASES))
+def test_huge_integers_print_in_full(capsys, case):
+    argv, status, expected = HUGE_INT_CASES[case]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, *argv)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    with _digits_unlimited():
+        assert (code, out, err) == (status, *expected())
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-m", "solist", *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
 def _limit_address_space():

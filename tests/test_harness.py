@@ -73,11 +73,10 @@ def test_cells_come_in_deterministic_order():
 
 def test_report_records_parameters():
     report = verify_grid(["mtf"], ["T2"], (2, 4), (1, 3), model=CostModel.PARTIAL)
+    assert report._fields == ("algorithms", "families", "cells")
     assert report.algorithms == (Algorithm.MTF,)
     assert report.families == (Family.T2,)
-    assert report.n_range == (2, 4)
-    assert report.k_range == (1, 3)
-    assert report.model is CostModel.PARTIAL
+    assert len(report.cells) == 3 * 3
 
 
 def test_repeated_names_are_verified_once():
@@ -112,13 +111,13 @@ def test_first_divergence_localizes_wrong_pass():
     # A transpose ledger graded against the move-to-front decomposition
     # diverges at pass 2 (pass 1 costs the same under both rules).
     ledger = serve(Transpose(), ListState.initial(4), gen_t1(4, 3))
-    index = _first_divergence(ledger, Algorithm.MTF, Family.T1, 4, 3, CostModel.FULL)
+    index = _first_divergence(ledger, Algorithm.MTF, Family.T1, CostModel.FULL)
     assert index == 5
 
 
 def test_first_divergence_none_when_consistent():
     ledger = serve(Transpose(), ListState.initial(4), gen_t1(4, 3))
-    assert _first_divergence(ledger, Algorithm.TRANS, Family.T1, 4, 3, CostModel.FULL) is None
+    assert _first_divergence(ledger, Algorithm.TRANS, Family.T1, CostModel.FULL) is None
 
 
 @pytest.mark.parametrize("model", list(CostModel))
@@ -148,9 +147,7 @@ def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
         assert cell.match is not wrong
         if wrong:
             assert cell.first_divergence == 2 * cell.n + 1
-            assert cell.first_divergence == _first_divergence(
-                ledger, cell.algorithm, cell.family, cell.n, cell.k, model
-            )
+            assert cell.first_divergence == _first_divergence(ledger, cell.algorithm, cell.family, model)
         else:
             assert cell.first_divergence is None
 

@@ -63,7 +63,7 @@ def test_repeat_reversal_is_t2():
 
 @pytest.mark.parametrize("block, bad", [((1.0, 2.0), "1.0"), ((True,), "True"), ((1, "a"), "'a'")], ids=repr)
 def test_repeat_rejects_items_that_are_not_ids(block, bad):
-    with pytest.raises(InvalidParameterError, match=f"each item must be a positive integer, got {bad}"):
+    with pytest.raises(InvalidParameterError, match=f"each request must be a positive integer, got {bad}"):
         RequestSequence.repeat(block, 2)
 
 

@@ -21,6 +21,8 @@ from solist import (
     InvalidParameterError,
     ListState,
     MoveToFront,
+    ParseError,
+    PeriodicView,
     RequestSequence,
     Transpose,
     crossover,
@@ -31,6 +33,7 @@ from solist import (
     make_policy,
     mtf_t1,
     mtf_t2,
+    parse_sequence_file,
     per_pass_profile,
     predict,
     trans_t1,
@@ -89,6 +92,38 @@ def test_integer_parameters(entry, value):
 def test_smallest_accepted_value(entry):
     call, minimum = ENTRY_POINTS[entry]
     call(minimum)
+
+
+# Every way to make requests, with one bad request among good ones.
+REQUEST_ENTRY_POINTS = {
+    "RequestSequence": lambda v: RequestSequence((2, v, 3)),
+    "RequestSequence.cycle": lambda v: RequestSequence(PeriodicView((1,), (2, v), 5)),
+    "RequestSequence.repeat": lambda v: RequestSequence.repeat((2, v, 3), 2),
+    "explicit_sequence": lambda v: explicit_sequence((2, v, 3)),
+}
+for _rule in ("mtf", "trans", "fc"):
+    REQUEST_ENTRY_POINTS[f"{_rule}.step"] = lambda v, rule=_rule: make_policy(rule).step(ListState.initial(3), v)
+BAD_REQUESTS = [True, 1.0, 0, -1, "a"]
+
+
+@pytest.mark.parametrize("value", BAD_REQUESTS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(REQUEST_ENTRY_POINTS))
+def test_each_request_is_an_id(entry, value):
+    with pytest.raises(InvalidParameterError) as caught:
+        REQUEST_ENTRY_POINTS[entry](value)
+    assert str(caught.value) == f"each request must be a positive integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", BAD_REQUESTS, ids=repr)
+def test_each_request_in_a_sequence_file_is_an_id(value):
+    # A file holds text: an integer token reaches the same id check, and
+    # any other token fails to parse as an integer first.
+    with pytest.raises(ParseError) as caught:
+        parse_sequence_file(f"2 {value} 3")
+    if type(value) is int:
+        assert str(caught.value) == f"bad sequence file: each request must be a positive integer, got {value!r}"
+    else:
+        assert str(caught.value) == f"expected an integer, got {str(value)!r}"
 
 
 LOOKUPS = {
