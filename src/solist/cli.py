@@ -27,6 +27,7 @@ __all__ = ["main", "run", "build_parser"]
 
 COMPARE_HEADER = "n,k,family,mtf_cost,trans_cost"
 VERIFY_HEADER = "algo,family,n,k,simulated,predicted,match"
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 _GNUPLOT_TEMPLATE = """\
 # Plot total access cost against k from a compare CSV export.
@@ -124,6 +125,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
         parsed = []
+        # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
+        # in linear time. A run on files prints no number that long, so the limit stays.
+        _set_digit_limit(args.digit_limit)
         try:
             for path, parse in ((args.list_file, parse_list_file), (args.seq_file, parse_sequence_file)):
                 with open(path, encoding="utf-8-sig") as handle:  # -sig: skip a byte-order mark
@@ -171,21 +175,28 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .harness import verify_grid
+    from .harness import _grid
     from .list_core import CostModel
     algorithms, families = args.algo or ["mtf", "trans"], args.seq or ["t1", "t2"]
-    report = verify_grid(algorithms, families, args.n, args.k, CostModel(args.model))
-    mismatches = report.mismatches
+    report = _grid(algorithms, families, args.n, args.k, CostModel(args.model))
+    mismatches = []
+
+    def graded():  # each cell once, as it is graded, keeping only the mismatched ones
+        for cell in report.cells:
+            if not cell.match:
+                mismatches.append(cell)
+            yield cell
 
     if args.format == "csv":
         lines = chain([VERIFY_HEADER], (
             f"{cell.algorithm.value},{cell.family.value},{cell.n},{cell.k},"
             f"{cell.simulated},{cell.predicted},{'true' if cell.match else 'false'}"
-            for cell in report.cells
+            for cell in graded()
         ))
     else:
+        cells = sum(1 for _ in graded())
         lines = []
-        per_pair = len(report.cells) // (len(report.algorithms) * len(report.families))
+        per_pair = cells // (len(report.algorithms) * len(report.families))
         bad = Counter((cell.algorithm, cell.family) for cell in mismatches)
         for algorithm in report.algorithms:
             for family in report.families:
@@ -198,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"simulated {cell.simulated} predicted {cell.predicted}{where}"
             )
         verdict = "FAIL" if mismatches else "PASS"
-        lines.append(f"verdict {verdict} ({len(report.cells)} cells, {len(mismatches)} mismatches)")
+        lines.append(f"verdict {verdict} ({cells} cells, {len(mismatches)} mismatches)")
     _emit(lines, args.output)
     return 1 if mismatches else 0
 
@@ -240,9 +251,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Lift the int-to-str digit limit (3.10.7 on) once argv is read, so totals print at any size.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    args.digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _set_digit_limit(0)
     try:
         return args.func(args)
     except (ParseError, ItemNotInListError, OSError) as exc:
@@ -252,10 +262,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         code, message = 2, "not enough memory for these parameters"
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-    # Print only once the traceback and the frames it held (verify's cells,
-    # say) are released: printing inside a handler can run out of memory too.
+        _set_digit_limit(args.digit_limit)
+    # Print only once the traceback and the frames it held (a half-built
+    # simulation, say) are released: printing inside a handler can run out
+    # of memory too.
     print(f"error: {message}", file=sys.stderr)
     return code
 

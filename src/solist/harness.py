@@ -6,8 +6,8 @@ largest k; a cell reads its grand total off the first k passes of that
 run and compares it with the closed-form prediction.
 The closed forms are full-model totals; under another cost model the
 prediction is that total less ``CostModel.discount`` per request, i.e.
-per pass of n requests. Cells are assembled deterministically in
-(algorithm, family, n, k) order.
+per pass of n requests. Cells are graded one row at a time, in
+deterministic (algorithm, family, n, k) order.
 """
 
 from __future__ import annotations
@@ -52,12 +52,8 @@ class VerificationReport(NamedTuple):
     cells: tuple[GridCell, ...]
 
     @property
-    def mismatches(self) -> tuple[GridCell, ...]:
-        return tuple(cell for cell in self.cells if not cell.match)
-
-    @property
     def mismatch_count(self) -> int:
-        return len(self.mismatches)
+        return sum(not cell.match for cell in self.cells)
 
     @property
     def passed(self) -> bool:
@@ -94,6 +90,12 @@ def verify_grid(
     model: CostModel = CostModel.FULL,
 ) -> VerificationReport:
     """Compare simulation against prediction on every cell of the grid (each rule or family once)."""
+    report = _grid(algorithms, families, n_range, k_range, model)
+    return report._replace(cells=tuple(report.cells))
+
+
+def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
+    """``verify_grid``'s report, all checks made, with ``cells`` a generator that grades one row at a time."""
     algorithms = tuple(dict.fromkeys(as_algorithm(a) for a in algorithms))
     families = tuple(dict.fromkeys(as_family(f) for f in families))
     if not algorithms or not families:
@@ -101,28 +103,30 @@ def verify_grid(
     n_lo, n_hi = check_range(n_range, "n")
     k_lo, k_hi = check_range(k_range, "k")
     discount = CostModel.discount(model)
+    for family in families:
+        GENERATORS[family](n_hi, k_hi)  # the last row asks the most of its generator: if it builds, every row does
 
-    cells = []
-    for algorithm in algorithms:
-        for family in families:
-            for n in range(n_lo, n_hi + 1):
-                # The first k passes of a k_hi-pass run are the k-pass run,
-                # so one simulation serves the whole row of k.
-                ledger = _simulate(algorithm, family, n, k_hi, model)
-                totals = ledger.pass_totals
-                simulated = totals.total(k_lo - 1)
-                # Pass i's expected cost does not depend on k, so the row's
-                # first divergent request, found once at k_hi, is that of
-                # every mismatched cell whose passes reach it.
-                divergence = _first_divergence(ledger, algorithm, family, model)
-                for k in range(k_lo, k_hi + 1):
-                    simulated += totals[k - 1]
-                    predicted = predict(algorithm, family, n, k).total - k * n * discount
-                    match = simulated == predicted
-                    reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
-                    cells.append(GridCell(algorithm, family, n, k, simulated, predicted, match,
-                                          divergence if reached else None))
-    return VerificationReport(algorithms, families, tuple(cells))
+    def cells():
+        for algorithm in algorithms:
+            for family in families:
+                for n in range(n_lo, n_hi + 1):
+                    # The first k passes of a k_hi-pass run are the k-pass run,
+                    # so one simulation serves the whole row of k.
+                    ledger = _simulate(algorithm, family, n, k_hi, model)
+                    totals = ledger.pass_totals
+                    simulated = totals.total(k_lo - 1)
+                    # Pass i's expected cost does not depend on k, so the row's
+                    # first divergent request, found once at k_hi, is that of
+                    # every mismatched cell whose passes reach it.
+                    divergence = _first_divergence(ledger, algorithm, family, model)
+                    for k in range(k_lo, k_hi + 1):
+                        simulated += totals[k - 1]
+                        predicted = predict(algorithm, family, n, k).total - k * n * discount
+                        match = simulated == predicted
+                        reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
+                        yield GridCell(algorithm, family, n, k, simulated, predicted, match,
+                                       divergence if reached else None)
+    return VerificationReport(algorithms, families, cells())
 
 
 def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PassProfile:

@@ -84,6 +84,28 @@ def test_simulate_from_files_with_byte_order_marks(capsys, tmp_path):
     assert (code, out, err) == (0, "total 10\n", "")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("digits", [4300, 1_000_000])
+def test_file_tokens_are_read_under_the_digit_limit(capsys, tmp_path, digits):
+    # A token is read as argv is: one past the limit is a ParseError at once,
+    # not a quadratic int() of a million digits.
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text("1 2 3\n")
+    seq_file.write_text("7" * digits + "\n")
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--algo", "mtf",
+                             "--list-file", str(list_file), "--seq-file", str(seq_file))
+    assert time.perf_counter() - start < 5
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, out) == (3, "")
+    if digits <= limit:
+        assert err == f"error: request 0: item {'7' * digits} is not in the list\n"
+    else:
+        assert err.startswith("error: expected an integer, got '777")
+
+
 def test_simulate_per_pass_without_structure(capsys, tmp_path):
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"
@@ -252,6 +274,39 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     assert lines[0] == "mtf T1: 1 mismatches / 1 cells"
     assert lines[1] == "MISMATCH mtf T1 n 2 k 1 simulated 3 predicted 4"
     assert lines[2] == "verdict FAIL (1 cells, 1 mismatches)"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_verify_checks_every_row_before_writing(capsys, tmp_path, to_file):
+    # Row n = 1 builds, row n = 2 asks for more than sys.maxsize requests:
+    # the error must come before row n = 1 is written.
+    report = tmp_path / "report.csv"
+    argv = ["verify", "--algo", "mtf", "--seq", "t1", "--n", "1..2", "--k", "9223372036854775807",
+            "--format", "csv"]
+    code, out, err = run_cli(capsys, *argv, *(["--output", str(report)] if to_file else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sequence length ")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_verify_holds_one_row_at_a_time(tmp_path, fmt):
+    # The table keeps no passing cell and csv writes each as it is graded;
+    # holding all 20000 cells of this row before writing a line peaked at
+    # 4.7 MB (table) and 4.5 MB (csv).
+    report = tmp_path / "report.txt"
+    argv = ["verify", "--algo", "mtf", "--seq", "t1", "--n", "1", "--k", "1..20000", "--format", fmt]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(report)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+    total = predict("mtf", "T1", 1, 20_000).total
+    expected = "verdict PASS (20000 cells, 0 mismatches)" if fmt == "table" else f"mtf,T1,1,20000,{total},{total},true"
+    assert report.read_text().splitlines()[-1] == expected
 
 
 def test_verify_bad_range_bounds(capsys):
@@ -523,10 +578,8 @@ def test_huge_integers_print_in_full(capsys, case):
 def _limit_address_space():
     import resource
 
-    # From about 150 MB up the run fails while it holds its cells, where an
-    # error message printed inside the except clause raised a second
-    # MemoryError (exit 1). Under about 128 MB it fails earlier and would
-    # not show that.
+    # Room for the interpreter and the CLI's modules, but not for a list of
+    # three million items.
     limit = 175 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -535,7 +588,7 @@ def _limit_address_space():
 def test_verify_out_of_memory_is_exit_2():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "solist", "verify", "--n", "1..2", "--k", "1..3000000"]
+    argv = [sys.executable, "-m", "solist", "verify", "--algo", "mtf", "--seq", "t1", "--n", "3000000", "--k", "1"]
     result = subprocess.run(argv, capture_output=True, text=True, env=env,
                             preexec_fn=_limit_address_space, timeout=120)
     assert result.returncode == 2, result.stderr

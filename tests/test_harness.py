@@ -60,7 +60,7 @@ def test_small_grid_passes():
     report = verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 10), (1, 10))
     assert len(report.cells) == 400
     assert report.passed
-    assert report.mismatches == ()
+    assert all(cell.match for cell in report.cells)
 
 
 def test_cells_come_in_deterministic_order():
@@ -100,7 +100,8 @@ def test_injected_bad_predictor_reports_mismatches(monkeypatch):
     report = verify_grid(["mtf"], ["T1"], (3, 4), (1, 2))
     assert not report.passed
     assert report.mismatch_count == 4
-    for cell in report.mismatches:
+    for cell in report.cells:
+        assert not cell.match
         assert cell.predicted == cell.simulated + 1
         # Totals disagree but every pass subtotal matches the structural
         # decomposition, so no pass is singled out.
