@@ -97,6 +97,7 @@ class PeriodicView(Sequence):
     tuple; ``in``, ``index`` and ``count`` read only the stored elements.
     It compares equal to a tuple of the same elements and to any view of
     them, however split into head and cycle, so it is not hashable.
+    ``head`` and ``cycle`` are read-only: a view may hold a caller's list.
     """
 
     __slots__ = ("_head", "_cycle", "_length")

@@ -278,11 +278,12 @@ def serve(
             cycle_start = first + 1
             break
 
+    # The views keep these lists: nothing else holds them.
     def view(stored: list, width: int = 1) -> PeriodicView:
         cut = cycle_start * width
-        cycle = tuple(stored[cut:])
+        cycle = stored[cut:]
         del stored[cut:]
-        return PeriodicView(tuple(stored), cycle, num_passes * width)
+        return PeriodicView(stored, cycle, num_passes * width)
 
     totals = view(pass_totals)
     configs = view(pass_configs)

@@ -94,19 +94,34 @@ GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
 # Text ingestion. Tokens are integers separated by whitespace or commas;
 # a '#' starts a comment that runs to the end of the line.
 
+def _tokens(line: str) -> list[str]:
+    if "#" in line:
+        line = line.split("#", 1)[0]
+    return line.replace(",", " ").split()
+
+
+def _ints(tokens: list[str]) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # one at a time: the first bad token raises a ParseError naming it
+        return list(map(_parse_int, tokens))
+
+
 def _tokenize(text: str) -> list[int]:
-    # Line by line, so that only one line's token strings exist at a time.
+    # Line by line, so that only one line's token strings exist at a time;
+    # each distinct token is parsed once and its int shared by every repeat.
+    # A line with no known token empties the table rather than joining it.
     values: list[int] = []
+    known: dict[str, int] = {}
     for line in text.splitlines():
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.replace(",", " ").split()
-        try:
-            values += map(int, tokens)
-        except ValueError:
-            # Redo the line one token at a time: the first bad one raises
-            # a ParseError that names it.
-            values += map(_parse_int, tokens)
+        tokens = _tokens(line)
+        found = list(map(known.get, tokens))
+        if None in found:
+            if known and found.count(None) == len(found):
+                known, found = {}, _ints(tokens)
+            else:
+                found = list(map(known.setdefault, tokens, _ints(tokens)))
+        values += found
     return values
 
 
@@ -114,16 +129,19 @@ def _parse_int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}") from None
+        # A long token is quoted by its start and its length, so the message stays short.
+        shown = repr(token) if len(token) <= 400 else f"{token[:40]!r}... ({len(token)} characters)"
+        raise ParseError(f"expected an integer, got {shown}") from None
 
 
 def parse_list_file(text: str) -> ListState:
     """Parse an initial list: the first line that holds an item is the list."""
-    items = next(filter(None, map(_tokenize, text.splitlines())), None)
-    if items is None:
+    tokens = next(filter(None, map(_tokens, text.splitlines())), None)
+    if tokens is None:
         raise ParseError("list file has no items")
     try:
-        return ListState(tuple(items))
+        # Plain int: list ids are distinct, so there is nothing to share.
+        return ListState(tuple(_ints(tokens)))
     except InvalidParameterError as exc:
         raise ParseError(f"bad list file: {exc}") from None
 

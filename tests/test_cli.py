@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exact output text and exit codes."""
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -104,6 +105,49 @@ def test_file_tokens_are_read_under_the_digit_limit(capsys, tmp_path, digits):
         assert err == f"error: request 0: item {'7' * digits} is not in the list\n"
     else:
         assert err.startswith("error: expected an integer, got '777")
+
+
+@pytest.mark.parametrize("bad_file", ["list", "sequence"])
+def test_a_huge_bad_token_is_quoted_short(capsys, tmp_path, bad_file):
+    token = "x" * 1_000_000
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text(token if bad_file == "list" else "1 2 3\n")
+    seq_file.write_text("1 2 " + token if bad_file == "sequence" else "1 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--algo", "mtf",
+                             "--list-file", str(list_file), "--seq-file", str(seq_file))
+    assert (code, out) == (3, "")
+    assert err == "error: expected an integer, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (1000000 characters)\n"
+    assert len(err.encode()) < 200
+
+
+def test_simulate_holds_one_int_per_distinct_request(capsys, tmp_path):
+    # 200k Zipf-like requests over 1000 ids: repeated ids share one int
+    # and serve's ledger keeps its list of costs without a copy. Parsing
+    # every token to its own int and copying that list peaked near 12 MB.
+    rng = random.Random(3)
+    ids = list(range(1, 1001))
+    rng.shuffle(ids)
+    requests = rng.choices(ids, weights=[1 / rank for rank in range(1, 1001)], k=200_000)
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text(" ".join(map(str, range(1, 1001))) + "\n")
+    seq_file.write_text("\n".join(" ".join(map(str, requests[i:i + 20])) for i in range(0, 200_000, 20)) + "\n")
+    order = list(range(1, 1001))
+    total = 0
+    for item in requests:
+        at = order.index(item)
+        total += at + 1
+        if at:
+            order[at - 1], order[at] = item, order[at - 1]
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--algo", "trans", "--list-file", str(list_file), "--seq-file", str(seq_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, f"total {total}\n")
+    assert peak < 9_000_000
 
 
 def test_simulate_per_pass_without_structure(capsys, tmp_path):

@@ -1,16 +1,23 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solist import (
     Family,
     InvalidParameterError,
+    ItemNotInListError,
+    ListState,
     ParseError,
     RequestSequence,
     explicit_sequence,
     gen_t1,
     gen_t2,
+    make_policy,
     parse_list_file,
     parse_sequence_file,
+    serve,
 )
 from solist.list_core import PeriodicView
 from solist.seqgen import _tokenize
@@ -150,6 +157,50 @@ def test_parse_sequence_file_rejects_garbage():
 
 def test_parse_sequence_file_empty_is_legal():
     assert parse_sequence_file("# nothing yet\n").requests == ()
+
+
+def test_equal_ids_from_different_lines_are_one_object():
+    # Ids above 256, which CPython does not cache: each distinct token is
+    # parsed once and its int shared by every request for it.
+    requests = parse_sequence_file("1000 70000\n# pause\n5000, 70000\n70000 1000 5000\n").requests
+    assert requests == (1000, 70000, 5000, 70000, 70000, 1000, 5000)
+    assert requests[1] is requests[3] is requests[4]
+    assert requests[0] is requests[5]
+    assert requests[2] is requests[6]
+
+
+def test_shared_ids_still_report_the_missing_request():
+    sequence = parse_sequence_file("1000 2000\n2000 5000 1000\n")
+    with pytest.raises(ItemNotInListError) as exc_info:
+        serve(make_policy("trans"), ListState((2000, 1000)), sequence)
+    assert (exc_info.value.item, exc_info.value.request_index) == (5000, 3)
+
+
+def _parse_peak(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_stream_that_never_repeats_parses_in_no_more_memory():
+    # 200k distinct ids, 20 to a line: the token table never holds more than
+    # one line, so the parse peaks no higher than a parse that keeps no table
+    # (about 9.2 MB). A table of every token peaks near 29 MB.
+    ids = list(range(1, 200_001))
+    random.Random(7).shuffle(ids)
+    text = "\n".join(" ".join(map(str, ids[i:i + 20])) for i in range(0, len(ids), 20)) + "\n"
+
+    def parse_without_table(text):
+        values = []
+        for line in text.splitlines():
+            values += map(int, line.split())
+        return explicit_sequence(values)
+
+    assert parse_sequence_file(text).requests == tuple(ids)
+    assert _parse_peak(parse_sequence_file, text) <= _parse_peak(parse_without_table, text)
 
 
 def test_family_values_round_trip():
