@@ -13,6 +13,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 from collections import Counter
@@ -218,6 +219,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .closed_form import Algorithm, predict
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
+    if args.gnuplot is not None and os.path.realpath(args.gnuplot) == os.path.realpath(args.output):
+        raise InvalidParameterError("--gnuplot and --output name the same file")
     family = as_family(args.seq)
     check_int(args.n, "n")
     k_lo, k_hi = check_range(args.k, "k")

@@ -93,11 +93,11 @@ GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
 
 # Text ingestion. Tokens are integers separated by whitespace or commas;
 # a '#' starts a comment that runs to the end of the line.
+_TABLE_IDS = 4096  # ids a line enters into the token table; past this size it starts over
+
 
 def _tokens(line: str) -> list[str]:
-    if "#" in line:
-        line = line.split("#", 1)[0]
-    return line.replace(",", " ").split()
+    return line.partition("#")[0].replace(",", " ").split()
 
 
 def _ints(tokens: list[str]) -> list[int]:
@@ -108,19 +108,19 @@ def _ints(tokens: list[str]) -> list[int]:
 
 
 def _tokenize(text: str) -> list[int]:
-    # Line by line, so that only one line's token strings exist at a time;
-    # each distinct token is parsed once and its int shared by every repeat.
-    # A line with no known token empties the table rather than joining it.
+    # Line by line, so that only one line's token strings exist at a time. A line of
+    # known tokens shares the table's ints; any other line starts the table over if it
+    # has no known token or the table is full, and enters at most _TABLE_IDS tokens.
     values: list[int] = []
     known: dict[str, int] = {}
     for line in text.splitlines():
         tokens = _tokens(line)
         found = list(map(known.get, tokens))
         if None in found:
-            if known and found.count(None) == len(found):
-                known, found = {}, _ints(tokens)
-            else:
-                found = list(map(known.setdefault, tokens, _ints(tokens)))
+            if found.count(None) == len(found) or len(known) > _TABLE_IDS:
+                known = {}
+            found = _ints(tokens)
+            found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
         values += found
     return values
 

@@ -182,6 +182,16 @@ def test_simulate_requires_exactly_one_source(capsys, tmp_path):
     assert "--k" in err
 
 
+@pytest.mark.parametrize("flag", ["--list-file", "--seq-file"])
+def test_simulate_needs_both_files(capsys, tmp_path, flag):
+    only = tmp_path / "only.txt"
+    only.write_text("1 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--algo", "mtf", flag, str(only))
+    assert code == 2
+    assert out == ""
+    assert err == "error: explicit input needs both --list-file and --seq-file\n"
+
+
 def test_simulate_missing_file_is_exit_3(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "simulate", "--algo", "mtf",
@@ -219,6 +229,21 @@ def test_simulate_non_utf8_file_is_exit_3(tmp_path):
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("bad_file", ["list", "sequence"])
+def test_simulate_non_utf8_file_is_exit_3_in_process(capsys, tmp_path, bad_file):
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_bytes(b"1 2 \xff3\n" if bad_file == "list" else b"1 2 3\n")
+    seq_file.write_bytes(b"1 2\xff 3\n" if bad_file == "sequence" else b"1 2 3\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: input file is not valid UTF-8: ")
+    assert "0xff" in err
 
 
 def test_simulate_list_file_of_only_commas_is_exit_3(capsys, tmp_path):
@@ -439,6 +464,22 @@ def test_compare_gnuplot_needs_output(capsys, tmp_path):
     )
     assert code == 2
     assert "--output" in err
+
+
+@pytest.mark.parametrize("spelling", ["same.txt", "sub/../same.txt", "link.txt"])
+def test_compare_gnuplot_and_output_must_differ(capsys, tmp_path, monkeypatch, spelling):
+    # The script would overwrite the CSV it plots: refused before either is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    Path("same.txt").write_text("kept\n")
+    Path("link.txt").symlink_to("same.txt")
+    code, out, err = run_cli(
+        capsys, "compare", "--seq", "t1", "--n", "5", "--k", "1..3", "--output", "same.txt", "--gnuplot", spelling,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --gnuplot and --output name the same file\n"
+    assert Path("same.txt").read_text() == "kept\n"
 
 
 def test_compare_bad_k_range(capsys):

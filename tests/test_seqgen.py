@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from solist import (
     parse_sequence_file,
     serve,
 )
+from solist import seqgen
 from solist.list_core import PeriodicView
 from solist.seqgen import _tokenize
 
@@ -203,6 +205,44 @@ def test_a_stream_that_never_repeats_parses_in_no_more_memory():
     assert _parse_peak(parse_sequence_file, text) <= _parse_peak(parse_without_table, text)
 
 
+def _parse_without_table(text):
+    values = []
+    for line in text.splitlines():
+        values += map(int, line.split())
+    return explicit_sequence(values)
+
+
+def test_a_stream_that_keeps_bringing_new_ids_parses_in_bounded_memory():
+    # 10,000 lines, each repeating the last id of the line before and adding
+    # 19 new ones: the table starts over once it holds more than 4096 ids, so
+    # the parse peaks within 1 MB of a parse that keeps no table (about
+    # 9.2 MB). A table emptied only on a line of new ids peaks near 29 MB.
+    ids = list(range(1, 190_001))
+    random.Random(7).shuffle(ids)
+    lines, last = [], []
+    for i in range(0, len(ids), 19):
+        line = last + ids[i:i + 19]
+        lines.append(" ".join(map(str, line)))
+        last = line[-1:]
+    text = "\n".join(lines) + "\n"
+
+    assert len(lines) == 10_000
+    assert parse_sequence_file(text).requests == tuple(map(int, text.split()))
+    assert _parse_peak(parse_sequence_file, text) <= _parse_peak(_parse_without_table, text) + 1_000_000
+
+
+def test_one_long_line_enters_a_bounded_number_of_ids():
+    # One line of 200k distinct ids enters only its first 4096 into the table:
+    # about 1.08 times the peak of a parse that keeps no table, against 1.69
+    # times for a table of the whole line.
+    ids = list(range(1, 200_001))
+    random.Random(7).shuffle(ids)
+    text = " ".join(map(str, ids)) + "\n"
+
+    assert parse_sequence_file(text).requests == tuple(ids)
+    assert _parse_peak(parse_sequence_file, text) <= 1.3 * _parse_peak(_parse_without_table, text)
+
+
 def test_family_values_round_trip():
     assert Family("T1") is Family.T1
     assert Family("T2") is Family.T2
@@ -242,3 +282,12 @@ def test_tokenize_matches_line_by_line(pieces):
         assert str(exc_info.value) == str(exc)
     else:
         assert _tokenize(text) == expected
+
+
+@given(pieces=st.lists(_PIECES, max_size=30))
+@settings(max_examples=300)
+def test_tokenize_with_a_two_id_table_matches_line_by_line(pieces):
+    # Room for two ids: lines of three or more tokens are entered in part,
+    # and a line with a new token starts the table over once it holds more than two.
+    with mock.patch.object(seqgen, "_TABLE_IDS", 2):
+        test_tokenize_matches_line_by_line.hypothesis.inner_test(pieces)
