@@ -216,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .closed_form import Algorithm, predict
+    from .closed_form import Algorithm, _totals
     if args.gnuplot is not None and args.output is None:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
     if args.gnuplot is not None and os.path.realpath(args.gnuplot) == os.path.realpath(args.output):
@@ -226,15 +226,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     k_lo, k_hi = check_range(args.k, "k")
 
     # A generator, so that no more than one row is held at a time.
-    rows = (
-        f"{args.n},{k},{family.value},{predict(Algorithm.MTF, family, args.n, k).total},"
-        f"{predict(Algorithm.TRANS, family, args.n, k).total}"
-        for k in range(k_lo, k_hi + 1)
-    )
+    mtf = _totals(Algorithm.MTF, family, args.n, k_lo, k_hi)
+    trans = _totals(Algorithm.TRANS, family, args.n, k_lo, k_hi)
+    rows = (f"{args.n},{k},{family.value},{m.total},{t.total}" for k, m, t in zip(range(k_lo, k_hi + 1), mtf, trans))
     _emit(chain([COMPARE_HEADER], rows), args.output)
 
     if args.gnuplot is not None:
-        _emit([_GNUPLOT_TEMPLATE.format(csv=args.output)], args.gnuplot)  # one line, no final newline
+        csv = args.output.replace("\\", "\\\\").replace('"', '\\"')  # a gnuplot double-quoted string
+        _emit([_GNUPLOT_TEMPLATE.format(csv=csv)], args.gnuplot)  # one line, no final newline
     return 0
 
 

@@ -2,14 +2,14 @@
 transpose on the two repeated-permutation families, under the full cost
 model.
 
-Every evaluator works in exact integer arithmetic: each case is an
-integer numerator over 2 or 8, and the division is checked to leave no
-remainder before the quotient is returned; nothing is ever rounded. The
-transpose/t1 evaluator dispatches on the parity of n and on whether k is
-past the saturation threshold n // 2 (n/2 passes for even n, (n-1)/2 for
-odd n), after which the per-pass cost stops growing. That threshold is the
-only value of k at which a closed form changes case (``_case_breaks``), and
-each case is a polynomial of degree at most 2 in k.
+Each (algorithm, family) pair's closed form is written once, in
+``_pieces``, as its case pieces: each an integer polynomial
+c0 + c1*k + c2*k^2 over a denominator of 1, 2 or 8 that holds up to its
+last k. Every reader evaluates that table. The division is checked to
+leave no remainder before the quotient is returned; nothing is ever
+rounded. Transpose/t1 changes case once, past the saturation threshold
+n // 2 (n/2 passes for even n, (n-1)/2 for odd n), after which the
+per-pass cost stops growing; every other pair has one case for all k.
 
 Case labels: "1" (mtf/t1), "2" (mtf/t2), "3.1a"/"3.1b"/"3.1c"
 (trans/t1: below threshold, past threshold with n even, past threshold
@@ -21,7 +21,8 @@ with n odd), "3.2a"/"3.2b" (trans/t2: n even, n odd).
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from itertools import chain, pairwise
+from typing import Iterator, NamedTuple
 
 from .errors import Family, SolistError, as_family, check_int, choose
 
@@ -53,6 +54,36 @@ class Prediction(NamedTuple):
     total: int
 
 
+class _Piece(NamedTuple):
+    """One case of a closed form: the total is (c0 + c1*k + c2*k^2) /
+    denominator for every k up to ``last`` (None: every k after the
+    previous piece's)."""
+
+    last: int | None
+    case_id: str
+    c0: int
+    c1: int
+    c2: int
+    denominator: int
+
+
+def _pieces(algorithm: Algorithm, family: Family, n: int) -> tuple[_Piece, ...]:
+    """The case pieces of (algorithm, family) at n, in increasing k; the
+    last one is open. See the four evaluators' docstrings for the formulas."""
+    if algorithm is Algorithm.MTF:
+        if family is Family.T1:
+            return (_Piece(None, "1", n - n * n, 2 * n * n, 0, 2),)
+        return (_Piece(None, "2", 0, n * n, 0, 1),)
+    if family is Family.T1:
+        below = _Piece(n // 2, "3.1a", 0, n * n + n - 1, 1, 2)
+        if n % 2 == 0:
+            return below, _Piece(None, "3.1b", -(n * n + 2 * n), 4 * (n * n + 2 * n), 0, 8)
+        return below, _Piece(None, "3.1c", 1 - n * n, 4 * (n * n + 2 * n - 1), 0, 8)
+    if n % 2 == 0:
+        return (_Piece(None, "3.2a", 0, n * n + 2 * n, 0, 2),)
+    return (_Piece(None, "3.2b", 0, n * n + 2 * n - 1, 0, 2),)
+
+
 def _exact_int(numerator: int, denominator: int, context: str) -> int:
     # Integrality is provable for every case; a trip here is a bug.
     quotient, remainder = divmod(numerator, denominator)
@@ -61,13 +92,17 @@ def _exact_int(numerator: int, denominator: int, context: str) -> int:
     return quotient
 
 
-def _case_breaks(algorithm: Algorithm, family: Family, n: int) -> tuple[int, ...]:
-    """The values of k after which the closed form for (algorithm, family,
-    n) changes case: transpose/t1 saturates after n // 2 passes, and every
-    other pair has one case for all k."""
-    if algorithm is Algorithm.TRANS and family is Family.T1:
-        return (n // 2,)
-    return ()
+def _totals(algorithm: Algorithm, family: Family, n: int, k_lo: int, k_hi: int) -> Iterator[Prediction]:
+    """The predictions at k = k_lo..k_hi, in order, from one table lookup."""
+    check_int(n, "n")
+    check_int(k_lo, "k")
+    check_int(k_hi, "k")
+    context = f"{algorithm.value}/{family.value.lower()}"
+    for last, case_id, c0, c1, c2, denominator in _pieces(algorithm, family, n):
+        end = k_hi if last is None else min(last, k_hi)
+        for k in range(k_lo, end + 1):
+            yield Prediction(case_id, _exact_int(c0 + k * (c1 + k * c2), denominator, context))
+        k_lo = max(k_lo, end + 1)
 
 
 def mtf_t1(n: int, k: int) -> Prediction:
@@ -76,10 +111,7 @@ def mtf_t1(n: int, k: int) -> Prediction:
     The first pass costs n(n+1)/2 and every later pass costs n^2 because
     each pass leaves the list exactly reversed.
     """
-    check_int(n, "n")
-    check_int(k, "k")
-    total = _exact_int(n * n * (2 * k - 1) + n, 2, "mtf/t1")
-    return Prediction("1", total)
+    return next(_totals(Algorithm.MTF, Family.T1, n, k, k))
 
 
 def mtf_t2(n: int, k: int) -> Prediction:
@@ -88,9 +120,7 @@ def mtf_t2(n: int, k: int) -> Prediction:
     Every request finds its item at the back, and each pass restores the
     initial configuration.
     """
-    check_int(n, "n")
-    check_int(k, "k")
-    return Prediction("2", k * n * n)
+    return next(_totals(Algorithm.MTF, Family.T2, n, k, k))
 
 
 def trans_t1(n: int, k: int) -> Prediction:
@@ -104,20 +134,7 @@ def trans_t1(n: int, k: int) -> Prediction:
       even n, k > n/2:      ((n^2 + 2n)/2) * (4k - 1)/4
       odd n,  k > (n-1)/2:  k*(n^2 + 2n - 1)/2 - (n^2 - 1)/8
     """
-    check_int(n, "n")
-    check_int(k, "k")
-    (saturation,) = _case_breaks(Algorithm.TRANS, Family.T1, n)
-    if k <= saturation:
-        case_id = "3.1a"
-        numerator, denominator = k * (n * n + n + k - 1), 2
-    elif n % 2 == 0:
-        case_id = "3.1b"
-        numerator, denominator = (n * n + 2 * n) * (4 * k - 1), 8
-    else:
-        case_id = "3.1c"
-        numerator, denominator = 4 * k * (n * n + 2 * n - 1) - (n * n - 1), 8
-    total = _exact_int(numerator, denominator, "trans/t1")
-    return Prediction(case_id, total)
+    return next(_totals(Algorithm.TRANS, Family.T1, n, k, k))
 
 
 def trans_t2(n: int, k: int) -> Prediction:
@@ -126,16 +143,7 @@ def trans_t2(n: int, k: int) -> Prediction:
     Each pass restores the initial configuration, costing (n^2 + 2n)/2
     for even n and (n^2 + 2n - 3)/2 + 1 for odd n.
     """
-    check_int(n, "n")
-    check_int(k, "k")
-    if n % 2 == 0:
-        case_id = "3.2a"
-        numerator = k * (n * n + 2 * n)
-    else:
-        case_id = "3.2b"
-        numerator = k * (n * n + 2 * n - 1)  # 2k * ((n^2 + 2n - 3)/2 + 1)
-    total = _exact_int(numerator, 2, "trans/t2")
-    return Prediction(case_id, total)
+    return next(_totals(Algorithm.TRANS, Family.T2, n, k, k))
 
 
 _EVALUATORS = {
@@ -162,60 +170,29 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
 
     Sums to ``predict(...).total``; used to localize any disagreement
     between a formula and a simulation down to the first divergent pass.
-    Its head holds the passes before the per-pass cost settles (through
-    transpose/t1's case break) and its cycle the one steady per-pass cost,
-    so it takes O(n) memory at any k.
+    Its head holds the first differences of the totals through the pass
+    after the last case break, less the trailing ones equal to the steady
+    per-pass cost, and its cycle that one cost, so it takes O(n) memory at
+    any k. Each case piece meets the next at its last k, so every later
+    pass costs the steady amount.
     """
     from .list_core import PeriodicView  # here, so that the closed forms load no simulation module
     algorithm = as_algorithm(algorithm)
     family = as_family(family)
     check_int(n, "n")
     check_int(k, "k")
-    first = n * (n + 1) // 2
-    if algorithm is Algorithm.MTF:
-        if family is Family.T1:
-            return PeriodicView((first,), (n * n,), k)
-        return PeriodicView((), (n * n,), k)
-    if family is Family.T1:
-        (saturation,) = _case_breaks(algorithm, family, n)
-        return PeriodicView(tuple(range(first, first + min(saturation, k))), (first + saturation,), k)
-    if n % 2 == 0:
-        per_pass = (n * n + 2 * n) // 2
-    else:
-        per_pass = (n * n + 2 * n - 3) // 2 + 1
-    return PeriodicView((), (per_pass,), k)
-
-
-def _trans_minus_mtf(family: Family, n: int, k: int) -> int:
-    return predict(Algorithm.TRANS, family, n, k).total - predict(Algorithm.MTF, family, n, k).total
-
-
-def _piece(family: Family, n: int, a: int, b: int):
-    """trans - mtf on k = a..b as a function of j = k - a, with the runs of
-    j on which it is monotone."""
-    # Both totals are of degree <= 2 in k on a case interval, so three
-    # points fix the difference; the far end checks it. Past b, k = a + 1
-    # and a + 2 may lie on the next case: the fit is still exact up to b.
-    d0, d1, d2 = (_trans_minus_mtf(family, n, k) for k in (a, a + 1, a + 2))
-    step, curve = d1 - d0, d2 - 2 * d1 + d0
-
-    def value(j: int) -> int:
-        return d0 + j * step + j * (j - 1) // 2 * curve
-
-    m = b - a
-    if _trans_minus_mtf(family, n, b) != value(m):
-        raise ArithmeticError(
-            f"trans - mtf for family={family.value} n={n} is not of degree <= 2 on k = {a}..{b}"
-        )
-    if not curve:
-        return value, [(0, m)]
-    # The first differences step + j*curve change sign at j = vertex.
-    vertex = min(max(-(step // curve), 0), m)
-    return value, [(0, vertex), (vertex, m)]
+    *cases, steady = _pieces(algorithm, family, n)
+    cycle = _exact_int(steady.c1, steady.denominator, f"{algorithm.value}/{family.value.lower()} per pass")
+    passes = min(k, cases[-1].last + 1 if cases else 1)
+    totals = chain((0,), (prediction.total for prediction in _totals(algorithm, family, n, 1, passes)))
+    head = [after - before for before, after in pairwise(totals)]
+    while head and head[-1] == cycle:
+        head.pop()
+    return PeriodicView(tuple(head), (cycle,), k)
 
 
 def _first_where(value, runs, start: int, holds) -> int | None:
-    """Smallest j >= start in the runs at which ``holds(value(j))``, where
+    """Smallest k >= start in the runs at which ``holds(value(k))``, where
     ``value`` is monotone on each run (so ``holds`` is true on a prefix or
     a suffix of it)."""
     for lo, hi in runs:
@@ -242,33 +219,43 @@ def crossover(family: Family | str, n: int, k_max: int) -> int | None:
 
     Ties do not count as a win. Once a win is found, dominance must
     persist through k_max; the totals are arithmetic-like in k, so a
-    broken dominance would mean a defective evaluator. The range is cut
-    at the closed forms' case breaks; on each piece trans - mtf is a
-    polynomial of degree <= 2 in k, fitted from four ``predict`` pairs
-    and searched by bisection in O(log k_max) integer steps.
+    broken dominance would mean a defective closed form. The range is cut
+    at both closed forms' case breaks; on each piece the two forms'
+    coefficients are subtracted over a common denominator, and the sign
+    of that quadratic in k is searched by bisection in O(log k_max)
+    integer steps.
     """
     family = as_family(family)
     check_int(k_max, "k_max")
-    # Evaluating k = 1 raises the same errors for a bad family or n as a
-    # scan would, before n is used to place the breaks.
-    _trans_minus_mtf(family, n, 1)
-    breaks = {*_case_breaks(Algorithm.TRANS, family, n), *_case_breaks(Algorithm.MTF, family, n)}
+    check_int(n, "n")
+    trans, mtf = _pieces(Algorithm.TRANS, family, n), _pieces(Algorithm.MTF, family, n)
+    breaks = sorted({piece.last for piece in trans[:-1] + mtf[:-1] if 0 < piece.last < k_max})
     k_star = None
     a = 1
-    for b in sorted(k for k in breaks if 1 <= k < k_max) + [k_max]:
-        value, runs = _piece(family, n, a, b)
-        start = 0
+    for b in breaks + [k_max]:
+        t, m = (next(piece for piece in pieces if piece.last is None or a <= piece.last) for pieces in (trans, mtf))
+        # trans - mtf on a..b, times the positive t.denominator * m.denominator.
+        e0, e1, e2 = (x * m.denominator - y * t.denominator for x, y in zip((t.c0, t.c1, t.c2), (m.c0, m.c1, m.c2)))
+
+        def value(k: int) -> int:
+            return e0 + k * (e1 + k * e2)
+
+        runs = [(a, b)]
+        if e2:
+            # The steps value(k + 1) - value(k) = e1 + e2 + 2*e2*k change sign at k = vertex.
+            vertex = min(max(-((e1 + e2) // (2 * e2)), a), b)
+            runs = [(a, vertex), (vertex, b)]
+        start = a
         if k_star is None:
-            won = _first_where(value, runs, 0, lambda d: d < 0)
-            if won is not None:
-                k_star, start = a + won, won + 1
+            k_star = _first_where(value, runs, a, lambda d: d < 0)
+            if k_star is not None:
+                start = k_star + 1
         if k_star is not None:
             lost = _first_where(value, runs, start, lambda d: d >= 0)
             if lost is not None:
-                k = a + lost
                 raise SolistError(
-                    f"dominance broken at family={family.value} n={n} k={k}: "
-                    f"transpose won at k={k_star} but not at k={k}"
+                    f"dominance broken at family={family.value} n={n} k={lost}: "
+                    f"transpose won at k={k_star} but not at k={lost}"
                 )
         a = b + 1
     return k_star

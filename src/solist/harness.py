@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .closed_form import Algorithm, as_algorithm, expected_pass_costs, predict
+from .closed_form import Algorithm, _totals, as_algorithm, expected_pass_costs
 from .errors import Family, InvalidParameterError, as_family, check_int, check_range
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
@@ -119,9 +119,10 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                     # first divergent request, found once at k_hi, is that of
                     # every mismatched cell whose passes reach it.
                     divergence = _first_divergence(ledger, algorithm, family, model)
-                    for k in range(k_lo, k_hi + 1):
+                    predictions = _totals(algorithm, family, n, k_lo, k_hi)
+                    for k, prediction in zip(range(k_lo, k_hi + 1), predictions):
                         simulated += totals[k - 1]
-                        predicted = predict(algorithm, family, n, k).total - k * n * discount
+                        predicted = prediction.total - k * n * discount
                         match = simulated == predicted
                         reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
                         yield GridCell(algorithm, family, n, k, simulated, predicted, match,

@@ -16,6 +16,7 @@ import solist.cli
 import solist.harness
 from solist import Prediction, predict
 from solist.cli import main
+from solist.closed_form import _totals
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -332,11 +333,11 @@ def test_verify_output_file(capsys, tmp_path):
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
-    def off_by_one(algorithm, family, n, k):
-        true = predict(algorithm, family, n, k)
-        return Prediction(true.case_id, true.total + 1)
+    def off_by_one(*row):
+        for true in _totals(*row):
+            yield Prediction(true.case_id, true.total + 1)
 
-    monkeypatch.setattr(solist.harness, "predict", off_by_one)
+    monkeypatch.setattr(solist.harness, "_totals", off_by_one)
     code, out, _ = run_cli(capsys, "verify", "--algo", "mtf", "--seq", "t1", "--n", "2..2", "--k", "1..1")
     assert code == 1
     lines = out.splitlines()
@@ -437,6 +438,20 @@ def test_compare_output_and_gnuplot(capsys, tmp_path):
     assert str(csv_file) in script
     assert "using 2:4" in script
     assert "using 2:5" in script
+
+
+def test_compare_gnuplot_escapes_quotes_and_backslashes(capsys, tmp_path, monkeypatch):
+    # In a gnuplot double-quoted string \\ is one backslash and \" one quote.
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "compare", "--seq", "t1", "--n", "2", "--k", "1",
+                         "--output", 'a"b\\c.csv', "--gnuplot", "plot.gp")
+    assert code == 0
+    assert (tmp_path / 'a"b\\c.csv').read_text() == "n,k,family,mtf_cost,trans_cost\n2,1,T1,3,3\n"
+    lines = (tmp_path / "plot.gp").read_text().splitlines()
+    assert lines[-2:] == [
+        'plot "a\\"b\\\\c.csv" every ::1 using 2:4 with linespoints title "mtf", \\',
+        '     "a\\"b\\\\c.csv" every ::1 using 2:5 with linespoints title "trans"',
+    ]
 
 
 def test_compare_streams_its_rows(tmp_path):

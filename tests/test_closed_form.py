@@ -25,7 +25,8 @@ from solist import (
     trans_t1,
     trans_t2,
 )
-from solist.closed_form import _case_breaks, _exact_int
+from solist import closed_form
+from solist.closed_form import _exact_int
 
 ns = st.integers(min_value=1, max_value=400)
 ks = st.integers(min_value=1, max_value=400)
@@ -139,6 +140,96 @@ K_FAR = 10**12
 # Even and odd n, small and large, so that every case, including 3.1a,
 # has intervals with at least four points reaching far in k.
 DEGREE_NS = (1, 2, 3, 8, 9, 10**6, 10**6 + 1, 2 * K_FAR, 2 * K_FAR + 1)
+PAIRS = [(algorithm, family) for algorithm in Algorithm for family in (Family.T1, Family.T2)]
+
+
+def _case_breaks(algorithm, family, n):
+    """The values of k after which the closed form for (algorithm, family,
+    n) changes case: the last k of each of its pieces but the open one."""
+    return tuple(piece.last for piece in closed_form._pieces(algorithm, family, n)[:-1])
+
+
+def _at(piece, k):
+    return Fraction(piece.c0 + piece.c1 * k + piece.c2 * k * k, piece.denominator)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), *DEGREE_NS])
+def test_each_table_ends_in_one_open_piece_of_constant_steady_cost(n):
+    for algorithm, family in PAIRS:
+        *closed, steady = closed_form._pieces(algorithm, family, n)
+        lasts = [piece.last for piece in closed]
+        assert None not in lasts, (algorithm, family, n)
+        assert lasts == sorted(set(lasts)), (algorithm, family, n)
+        assert steady.last is None and steady.c2 == 0, (algorithm, family, n)
+        # expected_pass_costs' cycle: the steady per-pass cost, an integer.
+        assert steady.c1 % steady.denominator == 0, (algorithm, family, n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), *DEGREE_NS])
+def test_each_piece_meets_the_next_at_its_last_k(n):
+    # So that every pass from the last break on costs the steady amount,
+    # which expected_pass_costs' head/cycle split relies on.
+    for algorithm, family in PAIRS:
+        pieces = closed_form._pieces(algorithm, family, n)
+        for piece, after in zip(pieces, pieces[1:]):
+            assert _at(piece, piece.last) == _at(after, piece.last), (algorithm, family, n, piece.case_id)
+
+
+def _docstring_total(algorithm, family, n, k):
+    """The case and total of (algorithm, family, n, k), from the formulas
+    as the four evaluators' docstrings write them, in exact fractions."""
+    if algorithm is Algorithm.MTF:
+        if family is Family.T1:
+            return "1", Fraction(n * n * (2 * k - 1) + n, 2)
+        return "2", Fraction(k * n * n)
+    if family is Family.T1:
+        saturation = n // 2 if n % 2 == 0 else (n - 1) // 2
+        if k <= saturation:
+            return "3.1a", k * Fraction(n * n + n + k - 1, 2)
+        if n % 2 == 0:
+            return "3.1b", Fraction(n * n + 2 * n, 2) * Fraction(4 * k - 1, 4)
+        return "3.1c", k * Fraction(n * n + 2 * n - 1, 2) - Fraction(n * n - 1, 8)
+    if n % 2 == 0:
+        return "3.2a", k * Fraction(n * n + 2 * n, 2)
+    return "3.2b", k * (Fraction(n * n + 2 * n - 3, 2) + 1)
+
+
+def test_predict_equals_the_docstring_formulas():
+    for n in range(1, 121):
+        for algorithm, family in PAIRS:
+            for k in range(1, 121):
+                prediction = predict(algorithm, family, n, k)
+                assert (prediction.case_id, prediction.total) == _docstring_total(algorithm, family, n, k)
+    for n in (*range(1, 121), *DEGREE_NS):
+        saturation = n // 2
+        for algorithm, family in PAIRS:
+            for k in {saturation, saturation + 1, K_FAR} - {0}:
+                prediction = predict(algorithm, family, n, k)
+                assert (prediction.case_id, prediction.total) == _docstring_total(algorithm, family, n, k), (n, k)
+
+
+def _split_before_the_table(algorithm, family, n, k):
+    """expected_pass_costs' (head, cycle) as each pair spelled it out
+    before the closed forms became one table."""
+    first = n * (n + 1) // 2
+    if (algorithm, family) == (Algorithm.MTF, Family.T1):
+        return (first,), (n * n,)
+    if (algorithm, family) == (Algorithm.MTF, Family.T2):
+        return (), (n * n,)
+    if family is Family.T1:
+        saturation = n // 2
+        return tuple(range(first, first + min(saturation, k))), (first + saturation,)
+    if n % 2 == 0:
+        return (), ((n * n + 2 * n) // 2,)
+    return (), ((n * n + 2 * n - 3) // 2 + 1,)
+
+
+def test_pass_costs_split_as_before_the_table():
+    for n in range(2, 41):
+        for algorithm, family in PAIRS:
+            for k in range(1, n + 3):
+                costs = expected_pass_costs(algorithm, family, n, k)
+                assert (tuple(costs.head), tuple(costs.cycle)) == _split_before_the_table(algorithm, family, n, k)
 
 
 def _case_intervals(algorithm, family, n):
@@ -148,8 +239,9 @@ def _case_intervals(algorithm, family, n):
 
 
 def test_each_case_is_of_degree_at_most_two_in_k():
-    # crossover fits trans - mtf on a case interval from three points, so
-    # each case's total must have vanishing third differences in k there.
+    # Each case is stored as a polynomial of degree at most 2 in k, and
+    # crossover searches trans - mtf as one, so read through predict, each
+    # case's total must have vanishing third differences in k.
     rng = random.Random(7)
     seen = set()
     for algorithm in Algorithm:

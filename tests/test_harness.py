@@ -10,7 +10,6 @@ from solist import (
     Family,
     InvalidParameterError,
     ListState,
-    Prediction,
     SolistError,
     Transpose,
     crossover,
@@ -88,11 +87,11 @@ def test_repeated_names_are_verified_once():
 
 def _predict_off_by_one(monkeypatch):
     """Make every prediction verify_grid reads one more than the closed form's."""
-    def off_by_one(algorithm, family, n, k):
-        true = predict(algorithm, family, n, k)
-        return type(true)(true.case_id, true.total + 1)
+    def off_by_one(*row):
+        for true in closed_form._totals(*row):
+            yield true._replace(total=true.total + 1)
 
-    monkeypatch.setattr(harness, "predict", off_by_one)
+    monkeypatch.setattr(harness, "_totals", off_by_one)
 
 
 def test_injected_bad_predictor_reports_mismatches(monkeypatch):
@@ -327,15 +326,21 @@ def test_crossover_equals_the_scan_on_a_grid():
                 assert crossover(family, n, k_max) == scan_crossover(family, n, k_max)
 
 
-def _defective_trans(monkeypatch, family, offset):
-    """Make transpose's total on ``family`` move-to-front's plus offset(k)."""
+def _defective_trans(monkeypatch, family, sign, p, q, shift=0):
+    """Make transpose's total on ``family`` move-to-front's plus
+    sign*(k - p)*(k - q) + shift, as one case piece."""
     family = as_family(family)
+    pieces = closed_form._pieces
 
-    def evaluator(n, k):
-        mtf = predict(Algorithm.MTF, family, n, k)
-        return Prediction("defect", mtf.total + offset(k))
+    def defective(algorithm, family_, n):
+        if (algorithm, family_) != (Algorithm.TRANS, family):
+            return pieces(algorithm, family_, n)
+        (mtf,) = pieces(Algorithm.MTF, family, n)
+        d = mtf.denominator
+        return (mtf._replace(case_id="defect", c0=mtf.c0 + d * (sign * p * q + shift),
+                             c1=mtf.c1 - d * sign * (p + q), c2=mtf.c2 + d * sign),)
 
-    monkeypatch.setitem(closed_form._EVALUATORS, (Algorithm.TRANS, family), evaluator)
+    monkeypatch.setattr(closed_form, "_pieces", defective)
 
 
 @pytest.mark.parametrize(
@@ -344,13 +349,17 @@ def _defective_trans(monkeypatch, family, offset):
         # Convex: transpose wins strictly between p and q, loses again at q.
         ("T2", 6, 1, 5, 40, 100, 6, 40),
         ("T1", 30, 1, 5, 40, 100, 6, 40),
+        # Convex with one winning k, at the vertex: a search run that ends
+        # one k to either side of it misses the win.
+        ("T2", 6, 1, 4, 6, 100, 5, 6),
+        ("T1", 30, 1, 4, 6, 100, 5, 6),
         # Concave: transpose wins before p and loses again at p.
         ("T2", 6, -1, 10, 20, 100, 1, 10),
         ("T1", 30, -1, 25, 60, 100, 1, 25),
     ],
 )
 def test_broken_dominance_names_the_scans_k(monkeypatch, family, n, sign, p, q, k_max, k_star, broken):
-    _defective_trans(monkeypatch, family, lambda k: sign * (k - p) * (k - q))
+    _defective_trans(monkeypatch, family, sign, p, q)
     with pytest.raises(SolistError) as scanned:
         scan_crossover(family, n, k_max)
     with pytest.raises(SolistError) as searched:
@@ -373,17 +382,8 @@ def test_defective_quadratics_match_the_scan(family, n, sign, p, width, shift, k
     # Any trans - mtf of degree <= 2, convex or concave: the search must
     # return the scan's result or raise its error, word for word.
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _defective_trans(monkeypatch, family, lambda k: sign * (k - p) * (k - p - width) + shift)
+        _defective_trans(monkeypatch, family, sign, p, p + width, shift)
         assert _outcome(crossover, family, n, k_max) == _outcome(scan_crossover, family, n, k_max)
-
-
-@pytest.mark.parametrize("family", ["T1", "T2"])
-def test_a_cubic_evaluator_is_an_arithmetic_error(monkeypatch, family):
-    # Transpose wins only for k in 3..7 and 21.. under this cubic; a fit of
-    # degree 2 from k = 1..3 cannot see that, and the far-end check must.
-    _defective_trans(monkeypatch, family, lambda k: -(k - 2) * (k - 8) * (k - 20))
-    with pytest.raises(ArithmeticError, match="not of degree <= 2"):
-        crossover(family, 4, 100)
 
 
 @pytest.mark.parametrize("model", list(CostModel))
