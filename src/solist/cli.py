@@ -18,7 +18,7 @@ import signal
 import sys
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
 from .errors import (InvalidParameterError, ItemNotInListError, ParseError, SolistError, as_family, check_int,
@@ -106,10 +106,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file as str.splitlines() cuts them, read one physical line at a time."""
+    try:
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(handle, 1):  # utf-8-sig skips a byte-order mark on line 1
+                yield from raw.decode("utf-8-sig" if number == 1 else "utf-8").splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read input file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file is not valid UTF-8: line {number}: {exc}") from None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
-    from .policies import make_policy, serve
-    from .seqgen import GENERATORS, parse_list_file, parse_sequence_file
+    from .policies import _serve_items, make_policy, serve
+    from .seqgen import GENERATORS, _checked, _line_ints, parse_list_file
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -121,29 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
         sequence = GENERATORS[as_family(args.seq)](args.n, args.k)
-        initial = ListState.initial(args.n)
-    else:
-        if args.list_file is None or args.seq_file is None:
-            raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
-        parsed = []
-        # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
-        # in linear time. A run on files prints no number that long, so the limit stays.
-        _set_digit_limit(args.digit_limit)
-        try:
-            for path, parse in ((args.list_file, parse_list_file), (args.seq_file, parse_sequence_file)):
-                with open(path, encoding="utf-8-sig") as handle:  # -sig: skip a byte-order mark
-                    parsed.append(parse(handle.read()))
-        except OSError as exc:
-            raise ParseError(f"cannot read input file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input file is not valid UTF-8: {exc}") from None
-        initial, sequence = parsed
-
-    ledger = serve(make_policy(args.algo), initial, sequence, CostModel(args.model))
-    if args.per_pass:
-        if ledger.pass_totals is None:
-            print("no pass structure declared for this sequence")
-        else:
+        ledger = serve(make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model))
+        if args.per_pass:
             # Repeating passes share their snapshot objects: format each once.
             formatted: dict[int, str] = {}
             for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
@@ -151,7 +142,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 if items is None:
                     items = formatted[id(config)] = " ".join(map(str, config.order))
                 print(f"pass {index} cost {cost} config {items}")
-    print(f"total {ledger.grand_total}")
+        total = ledger.grand_total
+    else:
+        if args.list_file is None or args.seq_file is None:
+            raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
+        # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
+        # in linear time. A run on files prints no number that long, so the limit stays.
+        _set_digit_limit(args.digit_limit)
+        initial = parse_list_file("\n".join(_file_lines(args.list_file)))
+        discount, (advance, _) = CostModel.discount(CostModel(args.model)), make_policy(args.algo)._start_run(initial)
+        # Serve one line of requests at a time, keeping only the total: the first error in the file ends the run.
+        total = served = 0
+        for requests in map(_checked, _line_ints(_file_lines(args.seq_file))):
+            total += _serve_items(advance, discount, requests, [], served)
+            served += len(requests)
+        if args.per_pass:
+            print("no pass structure declared for this sequence")
+    print(f"total {total}")
     return 0
 
 

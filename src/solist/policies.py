@@ -11,7 +11,7 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
@@ -220,6 +220,16 @@ def make_policy(name: str) -> Policy:
     return choose(_FACTORIES, name, "policy")()
 
 
+def _serve_items(advance: Callable[[int], int], discount: int, items: Sequence[int], costs: list, offset: int) -> int:
+    """The one request-to-cost step: add each cost of ``items`` to ``costs`` (``costs[0]`` is request ``offset``'s)."""
+    done = len(costs)
+    try:
+        costs += map(discount.__rsub__, map(advance, items)) if discount else map(advance, items)
+    except KeyError:  # += keeps the costs it appended before the error
+        raise ItemNotInListError(items[len(costs) - done], request_index=offset + len(costs)) from None
+    return sum(costs[done:] if done else costs)  # a stream served as one pass is not copied
+
+
 def serve(
     policy: Policy,
     initial: ListState,
@@ -244,10 +254,8 @@ def serve(
     """
     discount = CostModel.discount(model)
     advance, snapshot = policy._start_run(initial)
-    block = sequence.block
-    has_passes = block is not None
-    if not has_passes:
-        block = sequence.requests
+    has_passes = sequence.block is not None
+    block = sequence.block if has_passes else sequence.requests
     num_passes = len(sequence) // (len(block) or 1)
     # Pass-end state -> index of the first pass that ended in it. For fc
     # the state includes the counters less their minimum: the rule only
@@ -259,15 +267,7 @@ def serve(
     # From pass cycle_start on, the stored passes repeat as one cycle.
     cycle_start = num_passes
     for p in range(num_passes):
-        total = 0
-        for item in block:
-            try:
-                cost = advance(item) - discount
-            except KeyError:
-                raise ItemNotInListError(item, request_index=len(per_request)) from None
-            per_request.append(cost)
-            total += cost
-        pass_totals.append(total)
+        pass_totals.append(_serve_items(advance, discount, block, per_request, 0))
         config, along = snapshot()
         pass_configs.append(ListState._unchecked(config))
         if along is not None:

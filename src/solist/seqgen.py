@@ -11,7 +11,7 @@ sequences can be ingested from text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Family, InvalidParameterError, ParseError, check_ids, check_int
 from .list_core import ListState, PeriodicView, as_view
@@ -107,13 +107,11 @@ def _ints(tokens: list[str]) -> list[int]:
         return list(map(_parse_int, tokens))
 
 
-def _tokenize(text: str) -> list[int]:
-    # Line by line, so that only one line's token strings exist at a time. A line of
-    # known tokens shares the table's ints; any other line starts the table over if it
-    # has no known token or the table is full, and enters at most _TABLE_IDS tokens.
-    values: list[int] = []
+def _line_ints(lines: Iterable[str]) -> Iterator[list[int]]:
+    # One line's ints at a time. A line of known tokens shares the table's ints; any other line starts the table
+    # over if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
     known: dict[str, int] = {}
-    for line in text.splitlines():
+    for line in lines:
         tokens = _tokens(line)
         found = list(map(known.get, tokens))
         if None in found:
@@ -121,8 +119,20 @@ def _tokenize(text: str) -> list[int]:
                 known = {}
             found = _ints(tokens)
             found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
-        values += found
-    return values
+        yield found
+
+
+def _tokenize(text: str) -> list[int]:
+    return [value for values in _line_ints(text.splitlines()) for value in values]
+
+
+def _checked(requests: list[int]) -> list[int]:
+    if min(requests, default=1) < 1:  # parsed tokens are ints: only their sign is left to check
+        try:
+            check_ids(requests, "each request")
+        except InvalidParameterError as exc:
+            raise ParseError(f"bad sequence file: {exc}") from None
+    return requests
 
 
 def _parse_int(token: str) -> int:
@@ -148,7 +158,4 @@ def parse_list_file(text: str) -> ListState:
 
 def parse_sequence_file(text: str) -> RequestSequence:
     """Parse a request stream: every token in the file is one request."""
-    try:
-        return explicit_sequence(_tokenize(text))
-    except InvalidParameterError as exc:
-        raise ParseError(f"bad sequence file: {exc}") from None
+    return explicit_sequence(_checked(_tokenize(text)))
