@@ -120,8 +120,8 @@ def _file_lines(path: str) -> Iterator[str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
-    from .policies import _serve_items, make_policy, serve
-    from .seqgen import GENERATORS, _checked, _line_ints, parse_list_file
+    from .policies import _serve_stream, make_policy, serve
+    from .seqgen import GENERATORS, _checked, _line_ints, _list_from_lines
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -149,13 +149,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
         # in linear time. A run on files prints no number that long, so the limit stays.
         _set_digit_limit(args.digit_limit)
-        initial = parse_list_file("\n".join(_file_lines(args.list_file)))
-        discount, (advance, _) = CostModel.discount(CostModel(args.model)), make_policy(args.algo)._start_run(initial)
+        initial = _list_from_lines(_file_lines(args.list_file))
         # Serve one line of requests at a time, keeping only the total: the first error in the file ends the run.
-        total = served = 0
-        for requests in map(_checked, _line_ints(_file_lines(args.seq_file))):
-            total += _serve_items(advance, discount, requests, [], served)
-            served += len(requests)
+        total = _serve_stream(make_policy(args.algo), initial, map(_checked, _line_ints(_file_lines(args.seq_file))),
+                              CostModel(args.model))
         if args.per_pass:
             print("no pass structure declared for this sequence")
     print(f"total {total}")

@@ -21,8 +21,7 @@ with n odd), "3.2a"/"3.2b" (trans/t2: n even, n odd).
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
 
 from .errors import Family, SolistError, as_family, check_int, choose
@@ -68,7 +67,6 @@ class _Piece(NamedTuple):
     denominator: int
 
 
-@lru_cache(maxsize=256)  # a single-k evaluation would spend most of its time building these
 def _pieces(algorithm: Algorithm, family: Family, n: int) -> tuple[_Piece, ...]:
     """The case pieces of (algorithm, family) at n, in increasing k; the
     last one is open. See the four evaluators' docstrings for the formulas."""
@@ -106,22 +104,13 @@ def _totals(algorithm: Algorithm, family: Family, n: int, k_lo: int, k_hi: int) 
         k_lo = max(k_lo, end + 1)
 
 
-def _at(algorithm: Algorithm, family: Family, n: int, k: int) -> Prediction:
-    """The prediction at one k, from the piece that holds it."""
-    check_int(n, "n")
-    check_int(k, "k")
-    for last, case_id, c0, c1, c2, denominator in _pieces(algorithm, family, n):
-        if last is None or k <= last:
-            return Prediction(case_id, _exact_int(c0 + k * (c1 + k * c2), denominator, f"case {case_id}"))
-
-
 def mtf_t1(n: int, k: int) -> Prediction:
     """Move-to-front on the ascending family: (n^2*(2k - 1) + n) / 2.
 
     The first pass costs n(n+1)/2 and every later pass costs n^2 because
     each pass leaves the list exactly reversed.
     """
-    return _at(Algorithm.MTF, Family.T1, n, k)
+    return next(_totals(Algorithm.MTF, Family.T1, n, k, k))
 
 
 def mtf_t2(n: int, k: int) -> Prediction:
@@ -130,7 +119,7 @@ def mtf_t2(n: int, k: int) -> Prediction:
     Every request finds its item at the back, and each pass restores the
     initial configuration.
     """
-    return _at(Algorithm.MTF, Family.T2, n, k)
+    return next(_totals(Algorithm.MTF, Family.T2, n, k, k))
 
 
 def trans_t1(n: int, k: int) -> Prediction:
@@ -144,7 +133,7 @@ def trans_t1(n: int, k: int) -> Prediction:
       even n, k > n/2:      ((n^2 + 2n)/2) * (4k - 1)/4
       odd n,  k > (n-1)/2:  k*(n^2 + 2n - 1)/2 - (n^2 - 1)/8
     """
-    return _at(Algorithm.TRANS, Family.T1, n, k)
+    return next(_totals(Algorithm.TRANS, Family.T1, n, k, k))
 
 
 def trans_t2(n: int, k: int) -> Prediction:
@@ -153,11 +142,15 @@ def trans_t2(n: int, k: int) -> Prediction:
     Each pass restores the initial configuration, costing (n^2 + 2n)/2
     for even n and (n^2 + 2n - 3)/2 + 1 for odd n.
     """
-    return _at(Algorithm.TRANS, Family.T2, n, k)
+    return next(_totals(Algorithm.TRANS, Family.T2, n, k, k))
 
 
-_EVALUATORS = {(Algorithm.MTF, Family.T1): mtf_t1, (Algorithm.MTF, Family.T2): mtf_t2,
-               (Algorithm.TRANS, Family.T1): trans_t1, (Algorithm.TRANS, Family.T2): trans_t2}
+_EVALUATORS = {
+    (Algorithm.MTF, Family.T1): mtf_t1,
+    (Algorithm.MTF, Family.T2): mtf_t2,
+    (Algorithm.TRANS, Family.T1): trans_t1,
+    (Algorithm.TRANS, Family.T2): trans_t2,
+}
 
 
 def as_algorithm(value: Algorithm | str) -> Algorithm:
@@ -187,19 +180,14 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     family = as_family(family)
     check_int(n, "n")
     check_int(k, "k")
-    *cases, steady = pieces = _pieces(algorithm, family, n)
+    *cases, steady = _pieces(algorithm, family, n)
     cycle = _exact_int(steady.c1, steady.denominator, f"{algorithm.value}/{family.value.lower()} per pass")
     passes = min(k, cases[-1].last + 1 if cases else 1)
-    # Pass 1 costs the total at k = 1; on the piece holding p > 1, pass p costs (c1 + c2*(2p - 1)) / denominator.
-    head, lo = [_at(algorithm, family, n, 1).total], 2
-    for last, case_id, _, c1, c2, denominator in pieces:
-        count = max(0, (passes if last is None else min(last, passes)) - lo + 1)
-        first, step = (_exact_int(c, denominator, f"case {case_id}") for c in (c1 + c2 * (2 * lo - 1), 2 * c2))
-        head += islice(accumulate(repeat(step), initial=first), count)
-        lo += count
+    totals = chain((0,), (prediction.total for prediction in _totals(algorithm, family, n, 1, passes)))
+    head = [after - before for before, after in pairwise(totals)]
     while head and head[-1] == cycle:
         head.pop()
-    return PeriodicView(head, (cycle,), k)
+    return PeriodicView(tuple(head), (cycle,), k)
 
 
 def _first_where(value, runs, start: int, holds) -> int | None:

@@ -11,7 +11,7 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
@@ -228,6 +228,17 @@ def _serve_items(advance: Callable[[int], int], discount: int, items: Sequence[i
     except KeyError:  # += keeps the costs it appended before the error
         raise ItemNotInListError(items[len(costs) - done], request_index=offset + len(costs)) from None
     return sum(costs[done:] if done else costs)  # a stream served as one pass is not copied
+
+
+def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
+    """The total cost of serving ``blocks`` one after another, holding one block's costs at a time."""
+    discount = CostModel.discount(model)
+    advance, _ = policy._start_run(initial)
+    total = served = 0
+    for block in blocks:
+        total += _serve_items(advance, discount, block, [], served)
+        served += len(block)
+    return total
 
 
 def serve(

@@ -127,7 +127,7 @@ def _tokenize(text: str) -> list[int]:
 
 
 def _checked(requests: list[int]) -> list[int]:
-    if min(requests, default=1) < 1:  # parsed tokens are ints: only their sign is left to check
+    if min(requests, default=1) < 1:  # parsed tokens are ints: check_ids's type pass would double a line's check
         try:
             check_ids(requests, "each request")
         except InvalidParameterError as exc:
@@ -146,7 +146,11 @@ def _parse_int(token: str) -> int:
 
 def parse_list_file(text: str) -> ListState:
     """Parse an initial list: the first line that holds an item is the list."""
-    tokens = next(filter(None, map(_tokens, text.splitlines())), None)
+    return _list_from_lines(text.splitlines())
+
+
+def _list_from_lines(lines: Iterable[str]) -> ListState:
+    tokens = next(filter(None, map(_tokens, lines)), None)
     if tokens is None:
         raise ParseError("list file has no items")
     try:

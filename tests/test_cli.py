@@ -232,21 +232,23 @@ def test_simulate_non_utf8_file_is_exit_3(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("bad_file", ["list", "sequence", "sequence past 64 KiB"])
+@pytest.mark.parametrize("bad_file", ["list", "list on line 3", "sequence", "sequence past 64 KiB"])
 def test_simulate_non_utf8_file_is_exit_3_in_process(capsys, tmp_path, bad_file):
-    # The sequence file is decoded a line at a time, so the error names the
-    # line; the byte's position is within that line.
+    # Both files are decoded a line at a time, so the error names the line;
+    # the byte's position is within that line.
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"
-    list_file.write_bytes(b"1 2 \xff3\n" if bad_file == "list" else b"1 2 3\n")
-    lines = 20_000 if bad_file == "sequence past 64 KiB" else 0
-    seq_file.write_bytes(b"1 2 3\n" * lines + (b"1 2\xff 3\n" if bad_file != "list" else b"1 2 3\n"))
+    before = {"list on line 3": b"# initial\n\n", "sequence past 64 KiB": b"1 2 3\n" * 20_000}.get(bad_file, b"")
+    bad = before + b"1 2 \xff3\n"
+    list_file.write_bytes(bad if bad_file.startswith("list") else b"1 2 3\n")
+    seq_file.write_bytes(bad if bad_file.startswith("sequence") else b"1 2 3\n")
     code, out, err = run_cli(
         capsys, "simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file),
     )
+    line = before.count(b"\n") + 1
     assert code == 3
     assert out == ""
-    assert err.startswith(f"error: input file is not valid UTF-8: line {lines + 1}: ")
+    assert err.startswith(f"error: input file is not valid UTF-8: line {line}: ")
     assert "0xff" in err
 
 

@@ -95,6 +95,15 @@ def test_the_first_error_in_file_order_ends_the_run(capsys, tmp_path, text, erro
     assert (code, *capsys.readouterr()) == (3, "", f"error: {error}\n")
 
 
+def test_the_list_file_is_read_up_to_its_list(capsys, tmp_path):
+    # Lines after the list are never read, so what they hold is not an error.
+    list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
+    list_file.write_bytes(b"# initial\n3 1 2\n\xff x 0\n")
+    seq_file.write_text("2 2\n")
+    code = main(["simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file)])
+    assert (code, *capsys.readouterr()) == (0, "total 4\n", "")
+
+
 def _zipf_files(directory, requests, seed):
     """A list of 1000 ids and ``requests`` Zipf-like requests over them, 20
     to a line; returns the paths and the transpose total of a list walk."""
