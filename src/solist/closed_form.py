@@ -151,12 +151,13 @@ _EVALUATORS = {
     (Algorithm.TRANS, Family.T1): trans_t1,
     (Algorithm.TRANS, Family.T2): trans_t2,
 }
+_ALGORITHMS = {algorithm.value: algorithm for algorithm in Algorithm}
 
 
 def as_algorithm(value: Algorithm | str) -> Algorithm:
     if isinstance(value, Algorithm):
         return value
-    return choose({algorithm.value: algorithm for algorithm in Algorithm}, value, "algorithm")
+    return choose(_ALGORITHMS, value, "algorithm")
 
 
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:

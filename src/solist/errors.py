@@ -82,7 +82,10 @@ class Family(Enum):
     T2 = "T2"  # the reversed list order, repeated k times
 
 
+_FAMILIES = {family.value.lower(): family for family in Family}
+
+
 def as_family(value: Family | str) -> Family:
     if isinstance(value, Family):
         return value
-    return choose({family.value.lower(): family for family in Family}, value, "family")
+    return choose(_FAMILIES, value, "family")

@@ -115,15 +115,16 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                     ledger = _simulate(algorithm, family, n, k_hi, model)
                     totals = ledger.pass_totals
                     simulated = totals.total(k_lo - 1)
-                    # Pass i's expected cost does not depend on k, so the row's
-                    # first divergent request, found once at k_hi, is that of
-                    # every mismatched cell whose passes reach it.
-                    divergence = _first_divergence(ledger, algorithm, family, model)
+                    # Pass i's expected cost does not depend on k, so the row's first divergent request (... until
+                    # its first mismatch) is that of every mismatched cell whose passes reach it.
+                    divergence = ...
                     predictions = _totals(algorithm, family, n, k_lo, k_hi)
                     for k, prediction in zip(range(k_lo, k_hi + 1), predictions):
                         simulated += totals[k - 1]
                         predicted = prediction.total - k * n * discount
                         match = simulated == predicted
+                        if not match and divergence is ...:
+                            divergence = _first_divergence(ledger, algorithm, family, model)
                         reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
                         yield GridCell(algorithm, family, n, k, simulated, predicted, match,
                                        divergence if reached else None)

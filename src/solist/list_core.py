@@ -198,13 +198,14 @@ def as_view(values: Sequence) -> PeriodicView:
 class CostLedger:
     """Cost accounting for one served request sequence.
 
-    ``per_request`` holds the access cost of each request in order. When
-    the sequence is repetitions of one block, ``pass_totals`` and
-    ``pass_end_configs`` record the access-cost subtotal and the
-    configuration snapshot at every pass boundary. All three are
-    :class:`PeriodicView` objects, so a ledger of repeating passes holds
-    only the passes before the repetition and one period, and validation
-    reads only what is stored.
+    ``per_request`` holds the access cost of each request in order, as 8-byte
+    machine ints where ``serve`` made it (its ``head`` and ``cycle`` may be
+    ``array('q')``s). When the sequence is repetitions of one block,
+    ``pass_totals`` and ``pass_end_configs`` record the access-cost subtotal
+    and the configuration snapshot at every pass boundary. All three are
+    :class:`PeriodicView` objects, so a ledger of repeating passes holds only
+    the passes before the repetition and one period, and validation reads only
+    what is stored.
     """
 
     per_request: PeriodicView

@@ -220,14 +220,14 @@ def make_policy(name: str) -> Policy:
     return choose(_FACTORIES, name, "policy")()
 
 
-def _serve_items(advance: Callable[[int], int], discount: int, items: Sequence[int], costs: list, offset: int) -> int:
-    """The one request-to-cost step: add each cost of ``items`` to ``costs`` (``costs[0]`` is request ``offset``'s)."""
-    done = len(costs)
+def _serve_items(advance: Callable[[int], int], discount: int, items: Sequence[int], offset: int) -> list[int]:
+    """The one request-to-cost step: the cost of each of ``items``, the first of which is request ``offset``."""
+    costs: list[int] = []
     try:
         costs += map(discount.__rsub__, map(advance, items)) if discount else map(advance, items)
     except KeyError:  # += keeps the costs it appended before the error
-        raise ItemNotInListError(items[len(costs) - done], request_index=offset + len(costs)) from None
-    return sum(costs[done:] if done else costs)  # a stream served as one pass is not copied
+        raise ItemNotInListError(items[len(costs)], request_index=offset + len(costs)) from None
+    return costs
 
 
 def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
@@ -236,7 +236,7 @@ def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[
     advance, _ = policy._start_run(initial)
     total = served = 0
     for block in blocks:
-        total += _serve_items(advance, discount, block, [], served)
+        total += sum(_serve_items(advance, discount, block, served))
         served += len(block)
     return total
 
@@ -272,13 +272,17 @@ def serve(
     # the state includes the counters less their minimum: the rule only
     # compares counters, so a common offset does not change what it does.
     seen: dict = {}
-    per_request: list[int] = []
+    from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
+    per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     pass_totals: list[int] = []
     pass_configs: list[ListState] = []
     # From pass cycle_start on, the stored passes repeat as one cycle.
     cycle_start = num_passes
     for p in range(num_passes):
-        pass_totals.append(_serve_items(advance, discount, block, per_request, 0))
+        costs = _serve_items(advance, discount, block, len(per_request))
+        per_request.fromlist(costs)
+        pass_totals.append(sum(costs))
+        del costs  # so that two passes' costs are never held at once
         config, along = snapshot()
         pass_configs.append(ListState._unchecked(config))
         if along is not None:
@@ -289,8 +293,8 @@ def serve(
             cycle_start = first + 1
             break
 
-    # The views keep these lists: nothing else holds them.
-    def view(stored: list, width: int = 1) -> PeriodicView:
+    # The views keep these sequences: nothing else holds them.
+    def view(stored, width: int = 1) -> PeriodicView:
         cut = cycle_start * width
         cycle = stored[cut:]
         del stored[cut:]

@@ -107,6 +107,17 @@ def test_injected_bad_predictor_reports_mismatches(monkeypatch):
         assert cell.first_divergence is None
 
 
+def test_a_passing_grid_locates_no_divergence(monkeypatch):
+    # The per-pass decomposition is read only to localize a mismatch, so a
+    # grid whose every cell matches never asks for it.
+    def unread(*args):
+        raise AssertionError(f"expected_pass_costs{args} read on a passing grid")
+
+    monkeypatch.setattr(harness, "expected_pass_costs", unread)
+    for model in CostModel:
+        assert verify_grid(["mtf", "trans"], ["T1", "T2"], (1, 8), (1, 8), model).passed
+
+
 def test_first_divergence_localizes_wrong_pass():
     # A transpose ledger graded against the move-to-front decomposition
     # diverges at pass 2 (pass 1 costs the same under both rules).

@@ -2,6 +2,7 @@
 independent oracle, and the pure step/serve equivalence."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from solist import (
     gen_t1,
     gen_t2,
     make_policy,
+    predict,
     serve,
 )
 from solist import policies
@@ -382,6 +384,25 @@ def test_fast_forward_replays_a_two_pass_cycle():
         assert ledger.pass_totals == (16, 16, 18, 15, 18, 15, 18, 15, 18)[:k]
         assert [c.order for c in ledger.pass_end_configs] == trace[6::7]
         assert ledger.final_state.order == trace[-1]
+
+
+def test_stored_costs_are_machine_ints():
+    # Transpose on ascending scans of 700 items first repeats a pass-end
+    # state at pass 351, so serve stores 351 passes: 245,700 costs and as
+    # many config entries. An 8-byte cost and an 8-byte config pointer come
+    # to about 17 bytes a request; a list of int objects comes to about 37.
+    n, k = 700, 400
+    policy, initial, sequence = Transpose(), ListState.initial(n), gen_t1(n, k)
+    tracemalloc.start()
+    try:
+        ledger = serve(policy, initial, sequence)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = len(ledger.per_request.head) + len(ledger.per_request.cycle)
+    assert stored == 351 * n
+    assert ledger.grand_total == predict("trans", "T1", n, k).total
+    assert held / stored <= 24
 
 
 def one_pass_matches_the_oracle(name, state, seq):
