@@ -11,7 +11,8 @@ request sequence into a :class:`CostLedger`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
@@ -43,6 +44,8 @@ _Run = tuple[Callable[[int], int], Callable[[], tuple[tuple, tuple | None]]]
 # match where an item starts. The kernels take the width as data.
 _ONE_CODE_POINT_ITEMS = 0x110000
 _LOW = 0x400
+
+_SLICE = 4096  # serve runs a stream without passes this many requests at a time: only their costs are int objects
 
 
 def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, Callable[[str], tuple]]:
@@ -220,25 +223,24 @@ def make_policy(name: str) -> Policy:
     return choose(_FACTORIES, name, "policy")()
 
 
-def _serve_items(advance: Callable[[int], int], discount: int, items: Sequence[int], offset: int) -> list[int]:
-    """The one request-to-cost step: the cost of each of ``items``, the first of which is request ``offset``."""
-    costs: list[int] = []
-    try:
-        costs += map(discount.__rsub__, map(advance, items)) if discount else map(advance, items)
-    except KeyError:  # += keeps the costs it appended before the error
-        raise ItemNotInListError(items[len(costs)], request_index=offset + len(costs)) from None
-    return costs
+def _costs(advance: Callable[[int], int], discount: int, blocks: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+    """The one request-to-cost step: the costs of each of ``blocks`` in turn, requests counted from the first block."""
+    served = 0
+    for block in blocks:
+        costs: list[int] = []
+        try:
+            costs += map(discount.__rsub__, map(advance, block)) if discount else map(advance, block)
+        except KeyError:  # += keeps the costs it appended before the error
+            raise ItemNotInListError(block[len(costs)], request_index=served + len(costs)) from None
+        served += len(block)
+        yield costs
 
 
 def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
     """The total cost of serving ``blocks`` one after another, holding one block's costs at a time."""
     discount = CostModel.discount(model)
     advance, _ = policy._start_run(initial)
-    total = served = 0
-    for block in blocks:
-        total += sum(_serve_items(advance, discount, block, served))
-        served += len(block)
-    return total
+    return sum(map(sum, _costs(advance, discount, blocks)))
 
 
 def serve(
@@ -255,7 +257,7 @@ def serve(
     repetitions of one block (``RequestSequence.repeat``, which ``gen_t1``
     and ``gen_t2`` build on); the ledger then also records per-pass
     subtotals and the configuration snapshot at every pass boundary. Any
-    other sequence is served as one pass over all of its requests.
+    other sequence is served slice by slice, with both pass fields None.
 
     A pass of a block is a fixed map of the list state, so once a pass-end
     state repeats, the passes since its first occurrence repeat forever.
@@ -265,21 +267,24 @@ def serve(
     """
     discount = CostModel.discount(model)
     advance, snapshot = policy._start_run(initial)
-    has_passes = sequence.block is not None
-    block = sequence.block if has_passes else sequence.requests
-    num_passes = len(sequence) // (len(block) or 1)
+    from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
+    per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
+    block = sequence.block
+    if block is None:
+        requests = iter(sequence.requests)
+        for costs in _costs(advance, discount, iter(lambda: tuple(islice(requests, _SLICE)), ())):
+            per_request.fromlist(costs)
+        return CostLedger(PeriodicView(per_request), ListState._unchecked(snapshot()[0]))
+    num_passes = len(sequence) // len(block)
     # Pass-end state -> index of the first pass that ended in it. For fc
     # the state includes the counters less their minimum: the rule only
     # compares counters, so a common offset does not change what it does.
     seen: dict = {}
-    from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
-    per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     pass_totals: list[int] = []
     pass_configs: list[ListState] = []
     # From pass cycle_start on, the stored passes repeat as one cycle.
     cycle_start = num_passes
-    for p in range(num_passes):
-        costs = _serve_items(advance, discount, block, len(per_request))
+    for costs in _costs(advance, discount, repeat(block, num_passes)):
         per_request.fromlist(costs)
         pass_totals.append(sum(costs))
         del costs  # so that two passes' costs are never held at once
@@ -288,8 +293,8 @@ def serve(
         if along is not None:
             low = min(along)
             along = tuple(count - low for count in along)
-        first = seen.setdefault((config, along), p)
-        if first != p:
+        first = seen.setdefault((config, along), len(seen))
+        if len(seen) < len(pass_configs):  # an earlier pass ended in this state
             cycle_start = first + 1
             break
 
@@ -300,11 +305,10 @@ def serve(
         del stored[cut:]
         return PeriodicView(stored, cycle, num_passes * width)
 
-    totals = view(pass_totals)
     configs = view(pass_configs)
     return CostLedger(
         per_request=view(per_request, len(block)),
         final_state=configs[-1] if num_passes else initial,
-        pass_totals=totals if has_passes else None,
-        pass_end_configs=configs if has_passes else None,
+        pass_totals=view(pass_totals),
+        pass_end_configs=configs,
     )

@@ -81,7 +81,7 @@ def gen_t2(n: int, k: int) -> RequestSequence:
 
 def explicit_sequence(items: Iterable[int]) -> RequestSequence:
     """Wrap a literal request stream. It has no passes: ``serve`` serves
-    it as one."""
+    it slice by slice."""
     return RequestSequence(tuple(items))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import solist.cli
 import solist.harness
-from solist import Prediction, predict
+from solist import ParseError, Prediction, SolistError, predict
 from solist.cli import main
 from solist.closed_form import _totals
 
@@ -678,6 +678,44 @@ def test_huge_integers_print_in_full(capsys, case):
     result = subprocess.run([sys.executable, "-m", "solist", *argv], capture_output=True, text=True, env=env,
                             timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+class _HandlerWatchingWriter:
+    """A stderr that records, for each write, the exception being handled then (None outside a handler)."""
+
+    def __init__(self):
+        self.text, self.handling = "", []
+
+    def write(self, text):
+        self.text += text
+        self.handling.append(sys.exc_info()[1])
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ParseError("bad input"), 3, "bad input"),
+        (SolistError("bad parameter"), 2, "bad parameter"),
+        (MemoryError(), 2, "not enough memory for these parameters"),
+    ],
+    ids=["parse", "solist", "memory"],
+)
+def test_error_line_is_written_outside_the_handler(monkeypatch, error, code, message):
+    # A handler keeps the traceback and the frames it holds alive, and
+    # printing can run out of memory too: main writes once they are gone.
+    def fail(args):
+        raise error
+
+    writer = _HandlerWatchingWriter()
+    monkeypatch.setattr(solist.cli, "cmd_predict", fail)
+    monkeypatch.setattr(sys, "stderr", writer)
+    assert main(["predict", "--algo", "mtf", "--seq", "t1", "--n", "2", "--k", "1"]) == code
+    assert writer.text == f"error: {message}\n"
+    assert writer.handling and all(exc is None for exc in writer.handling)
 
 
 def _limit_address_space():

@@ -2,6 +2,7 @@
 independent oracle, and the pure step/serve equivalence."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -406,13 +407,13 @@ def test_stored_costs_are_machine_ints():
 
 
 def one_pass_matches_the_oracle(name, state, seq):
-    # A sequence that is not repetitions of one block is served whole, as
-    # one pass: every request of its view, head and cycle, and no passes.
+    # A sequence that is not repetitions of one block has no passes: every
+    # request of its view, head and cycle, is served, slice by slice.
     for model in CostModel:
         ledger = serve(POLICIES[name], state, seq, model)
         costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
         assert ledger.per_request == tuple(costs)
-        assert ledger.final_state.order == trace[-1]
+        assert ledger.final_state.order == (trace[-1] if trace else state.order)
         assert ledger.pass_totals is None and ledger.pass_end_configs is None
 
 
@@ -450,6 +451,62 @@ def test_pass_structure_keeps_missing_item_index(name, seq, index):
             serve(POLICIES[name], ListState.initial(3), served)
         assert exc_info.value.request_index == index
         assert exc_info.value.item == seq.requests[index]
+
+
+SLICE = policies._SLICE
+
+
+@pytest.mark.parametrize("length", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3])
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_stream_slices_match_the_oracle(name, length):
+    # A stream without passes is served a slice at a time: lengths on
+    # either side of a slice boundary lose no request and repeat none.
+    rng = random.Random(length)
+    order = list(range(1, 8))
+    rng.shuffle(order)
+    requests = tuple(rng.choices(order, weights=range(7, 0, -1), k=length))
+    one_pass_matches_the_oracle(name, ListState(tuple(order)), explicit_sequence(requests))
+
+
+@pytest.mark.parametrize("index", [0, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE - 1, 2 * SLICE, 2 * SLICE + 2])
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_missing_item_index_counts_from_the_stream_start(name, index):
+    # The index of a request for an id not in the list counts every
+    # request of the earlier slices, at and next to each boundary.
+    rng = random.Random(index)
+    requests = [rng.randint(1, 5) for _ in range(2 * SLICE + 3)]
+    requests[index] = 6
+    for model in CostModel:
+        with pytest.raises(ItemNotInListError) as exc_info:
+            serve(POLICIES[name], ListState.initial(5), explicit_sequence(requests), model)
+        assert (exc_info.value.item, exc_info.value.request_index) == (6, index)
+
+
+@pytest.mark.parametrize("length", [6, 2 * SLICE + 1])
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_head_and_cycle_without_passes_match_the_oracle(name, length):
+    # A head makes the view no repetition of one block, so it has no
+    # passes; its slices run across the head and cycle alike.
+    one_pass_matches_the_oracle(name, ListState.initial(3), RequestSequence(PeriodicView((1,), (2, 3), length)))
+
+
+def test_stream_without_passes_holds_one_slice_of_int_costs():
+    # 200k Zipf-like requests over 1000 shuffled ids: the ledger's 8-byte
+    # costs take 1.6 MB. Holding the stream's costs as a list of int
+    # objects as well peaked at 4.58 MB.
+    rng = random.Random(1)
+    order = list(range(1, 1001))
+    rng.shuffle(order)
+    sequence = explicit_sequence(rng.choices(order, weights=[1 / rank for rank in range(1, 1001)], k=200_000))
+    policy, initial = make_policy("trans"), ListState(tuple(order))
+    tracemalloc.start()
+    try:
+        ledger = serve(policy, initial, sequence)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.per_request) == 200_000
+    assert peak <= 2.5e6
 
 
 def test_fc_fast_forward_keys_on_counter_gaps():
