@@ -21,8 +21,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
-from .errors import (InvalidParameterError, ItemNotInListError, ParseError, SolistError, as_family, check_int,
-                     check_range)
+from .errors import Family, InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -132,7 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if family_source:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
-        sequence = GENERATORS[as_family(args.seq)](args.n, args.k)
+        sequence = GENERATORS[Family(args.seq)](args.n, args.k)
         ledger = serve(make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model))
         if args.per_pass:
             # Repeating passes share their snapshot objects: format each once.
@@ -225,7 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InvalidParameterError("--gnuplot needs --output so the script can reference the CSV")
     if args.gnuplot is not None and os.path.realpath(args.gnuplot) == os.path.realpath(args.output):
         raise InvalidParameterError("--gnuplot and --output name the same file")
-    family = as_family(args.seq)
+    family = Family(args.seq)
     check_int(args.n, "n")
     k_lo, k_hi = check_range(args.k, "k")
 
@@ -243,7 +242,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     from .closed_form import crossover
-    family = as_family(args.seq)
+    family = Family(args.seq)
     n_lo, n_hi = check_range(args.n, "n")
     check_int(args.kmax, "k_max")
     print("family n k_star")

@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
 
-from .errors import Family, SolistError, as_family, check_int, choose
+from .errors import Family, SolistError, check_int, choose
 
 __all__ = [
     "Algorithm",
@@ -44,6 +44,10 @@ class Algorithm(Enum):
 
     MTF = "mtf"
     TRANS = "trans"
+
+    @classmethod
+    def _missing_(cls, name):
+        return choose({algorithm.value: algorithm for algorithm in cls}, name, "algorithm")
 
 
 class Prediction(NamedTuple):
@@ -151,18 +155,11 @@ _EVALUATORS = {
     (Algorithm.TRANS, Family.T1): trans_t1,
     (Algorithm.TRANS, Family.T2): trans_t2,
 }
-_ALGORITHMS = {algorithm.value: algorithm for algorithm in Algorithm}
-
-
-def as_algorithm(value: Algorithm | str) -> Algorithm:
-    if isinstance(value, Algorithm):
-        return value
-    return choose(_ALGORITHMS, value, "algorithm")
 
 
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:
     """Route to the matching evaluator for (algorithm, family)."""
-    return _EVALUATORS[as_algorithm(algorithm), as_family(family)](n, k)
+    return _EVALUATORS[Algorithm(algorithm), Family(family)](n, k)
 
 
 def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PeriodicView:
@@ -177,8 +174,7 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     pass costs the steady amount.
     """
     from .list_core import PeriodicView  # here, so that the closed forms load no simulation module
-    algorithm = as_algorithm(algorithm)
-    family = as_family(family)
+    algorithm, family = Algorithm(algorithm), Family(family)
     check_int(n, "n")
     check_int(k, "k")
     *cases, steady = _pieces(algorithm, family, n)
@@ -191,21 +187,25 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     return PeriodicView(tuple(head), (cycle,), k)
 
 
-def _first_where(value, runs, start: int, holds) -> int | None:
-    """Smallest k >= start in the runs at which ``holds(value(k))``, where
-    ``value`` is monotone on each run (so ``holds`` is true on a prefix or
-    a suffix of it)."""
-    for lo, hi in runs:
+def _first_where(runs, start: int, holds) -> int | None:
+    """Smallest k >= start in the runs (lo, hi, (e0, e1, e2)) at which
+    ``holds(e0 + e1*k + e2*k^2)``, where that value is monotone on each
+    run (so ``holds`` is true on a prefix or a suffix of it)."""
+    for lo, hi, (e0, e1, e2) in runs:
         lo = max(lo, start)
         if lo > hi:
             continue
-        if holds(value(lo)):
+
+        def at(k: int) -> bool:
+            return holds(e0 + k * (e1 + k * e2))
+
+        if at(lo):
             return lo
-        if not holds(value(hi)):
+        if not at(hi):
             continue
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if holds(value(mid)):
+            if at(mid):
                 hi = mid
             else:
                 lo = mid
@@ -219,43 +219,33 @@ def crossover(family: Family | str, n: int, k_max: int) -> int | None:
 
     Ties do not count as a win. Once a win is found, dominance must
     persist through k_max; the totals are arithmetic-like in k, so a
-    broken dominance would mean a defective closed form. The range is cut
-    at both closed forms' case breaks; on each piece the two forms'
-    coefficients are subtracted over a common denominator, and the sign
-    of that quadratic in k is searched by bisection in O(log k_max)
-    integer steps.
+    broken dominance would mean a defective closed form. On each case
+    piece of either closed form, trans - mtf is a quadratic in k, found
+    by subtracting the two pieces' coefficients over a common
+    denominator. Cut at those case breaks and at each quadratic's vertex,
+    1..k_max becomes one list of runs on each of which the difference is
+    monotone. One bisection search over the runs, in O(log k_max) integer
+    steps per run, finds the first win; the same search from the next k
+    finds any later loss.
     """
-    family = as_family(family)
+    family = Family(family)
     check_int(k_max, "k_max")
     check_int(n, "n")
     trans, mtf = _pieces(Algorithm.TRANS, family, n), _pieces(Algorithm.MTF, family, n)
     breaks = sorted({piece.last for piece in trans[:-1] + mtf[:-1] if 0 < piece.last < k_max})
-    k_star = None
-    a = 1
-    for b in breaks + [k_max]:
+    runs = []
+    for a, b in zip([1] + [last + 1 for last in breaks], breaks + [k_max]):
         t, m = (next(piece for piece in pieces if piece.last is None or a <= piece.last) for pieces in (trans, mtf))
         # trans - mtf on a..b, times the positive t.denominator * m.denominator.
-        e0, e1, e2 = (x * m.denominator - y * t.denominator for x, y in zip((t.c0, t.c1, t.c2), (m.c0, m.c1, m.c2)))
-
-        def value(k: int) -> int:
-            return e0 + k * (e1 + k * e2)
-
-        runs = [(a, b)]
-        if e2:
-            # The steps value(k + 1) - value(k) = e1 + e2 + 2*e2*k change sign at k = vertex.
-            vertex = min(max(-((e1 + e2) // (2 * e2)), a), b)
-            runs = [(a, vertex), (vertex, b)]
-        start = a
-        if k_star is None:
-            k_star = _first_where(value, runs, a, lambda d: d < 0)
-            if k_star is not None:
-                start = k_star + 1
-        if k_star is not None:
-            lost = _first_where(value, runs, start, lambda d: d >= 0)
-            if lost is not None:
-                raise SolistError(
-                    f"dominance broken at family={family.value} n={n} k={lost}: "
-                    f"transpose won at k={k_star} but not at k={lost}"
-                )
-        a = b + 1
+        e0, e1, e2 = e = [x * m.denominator - y * t.denominator for x, y in zip((t.c0, t.c1, t.c2), (m.c0, m.c1, m.c2))]
+        # The steps e(k + 1) - e(k) = e1 + e2 + 2*e2*k change sign at k = vertex.
+        vertex = min(max(-((e1 + e2) // (2 * e2)), a), b) if e2 else b
+        runs += [(a, vertex, e), (vertex + 1, b, e)]
+    k_star = _first_where(runs, 1, lambda d: d < 0)
+    lost = None if k_star is None else _first_where(runs, k_star + 1, lambda d: d >= 0)
+    if lost is not None:
+        raise SolistError(
+            f"dominance broken at family={family.value} n={n} k={lost}: "
+            f"transpose won at k={k_star} but not at k={lost}"
+        )
     return k_star

@@ -25,11 +25,8 @@ class ItemNotInListError(SolistError, LookupError):
     def __init__(self, item, request_index=None):
         self.item = item
         self.request_index = request_index
-        if request_index is None:
-            msg = f"item {item} is not in the list"
-        else:
-            msg = f"request {request_index}: item {item} is not in the list"
-        super().__init__(msg)
+        msg = f"item {shown(item)} is not in the list"
+        super().__init__(msg if request_index is None else f"request {request_index}: {msg}")
 
 
 class InvalidParameterError(SolistError, ValueError):
@@ -40,12 +37,21 @@ class ParseError(SolistError, ValueError):
     """A list or sequence text input is malformed."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for a message, or, for an int past the int-to-str
+    digit limit, its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"
+
+
 def check_int(value, name: str, minimum: int = 1) -> None:
     """Raise InvalidParameterError naming ``name`` unless ``value`` is an
     int (not a bool) of at least ``minimum``, which is 0 or 1."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum else "nonnegative"
-        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
+        raise InvalidParameterError(f"{name} must be a {kind} integer, got {shown(value)}")
 
 
 def check_ids(values, name: str) -> None:
@@ -63,7 +69,7 @@ def check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
     check_int(lo, f"{name} lower bound")
     check_int(hi, f"{name} upper bound")
     if lo > hi:
-        raise InvalidParameterError(f"{name} range is empty: {lo}..{hi}")
+        raise InvalidParameterError(f"{name} range is empty: {shown(lo)}..{shown(hi)}")
     return lo, hi
 
 
@@ -81,11 +87,6 @@ class Family(Enum):
     T1 = "T1"  # the initial list order, repeated k times
     T2 = "T2"  # the reversed list order, repeated k times
 
-
-_FAMILIES = {family.value.lower(): family for family in Family}
-
-
-def as_family(value: Family | str) -> Family:
-    if isinstance(value, Family):
-        return value
-    return choose(_FAMILIES, value, "family")
+    @classmethod
+    def _missing_(cls, name):
+        return choose({family.value.lower(): family for family in cls}, name, "family")

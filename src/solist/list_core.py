@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .errors import InvalidParameterError, check_ids, check_int, choose
+from .errors import InvalidParameterError, check_ids, check_int, choose, shown
 
 __all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
@@ -64,14 +64,17 @@ class ListState:
         object.__setattr__(self, "order", tuple(self.order))
         check_ids(self.order, "each item id")
         if len(set(self.order)) != len(self.order):
-            raise InvalidParameterError(f"item ids must be distinct, got {self.order!r}")
+            first: dict[int, int] = {}  # item -> its first 1-based position
+            at, item = next((at, item) for at, item in enumerate(self.order, 1) if first.setdefault(item, at) != at)
+            raise InvalidParameterError(
+                f"item ids must be distinct, got item {shown(item)} at positions {first[item]} and {at}")
 
     @classmethod
     def initial(cls, n: int) -> "ListState":
         """The canonical starting arrangement (1, 2, ..., n)."""
         check_int(n, "list size")
         if n > sys.maxsize:
-            raise InvalidParameterError(f"list size must be at most {sys.maxsize}, got {n}")
+            raise InvalidParameterError(f"list size must be at most {sys.maxsize}, got {shown(n)}")
         return cls._unchecked(tuple(range(1, n + 1)))
 
     @classmethod
@@ -107,10 +110,10 @@ class PeriodicView(Sequence):
             length = len(head)
         if length < len(head) or (length > len(head) and not cycle):
             raise InvalidParameterError(
-                f"cannot make {length} elements from a head of {len(head)} and a cycle of {len(cycle)}"
+                f"cannot make {shown(length)} elements from a head of {len(head)} and a cycle of {len(cycle)}"
             )
         if length > sys.maxsize:
-            raise InvalidParameterError(f"sequence length {length} exceeds the maximum {sys.maxsize}")
+            raise InvalidParameterError(f"sequence length {shown(length)} exceeds the maximum {sys.maxsize}")
         self._head, self._cycle, self._length = head, cycle, length
 
     @property

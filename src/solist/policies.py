@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose
+from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose, shown
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .seqgen import RequestSequence
 
@@ -176,7 +176,8 @@ class FrequencyCount(Policy):
     def __post_init__(self) -> None:
         check_ids(self.counters, "each counted item")
         for item, count in self.counters.items():
-            check_int(count, f"counter for item {item}", minimum=0)
+            if type(count) is not int or count < 0:  # name the item only for a counter check_int may reject
+                check_int(count, f"counter for item {shown(item)}", minimum=0)
         object.__setattr__(self, "counters", dict(self.counters))
 
     def counter(self, item: int) -> int:
@@ -186,7 +187,7 @@ class FrequencyCount(Policy):
         token_of, width, decode = _encode(initial.order)
         stray = self.counters.keys() - token_of.keys()
         if stray:
-            raise InvalidParameterError(f"counted item {min(stray)} is not in the list")
+            raise InvalidParameterError(f"counted item {shown(min(stray))} is not in the list")
         s = "".join(token_of.values())
         along = [self.counters.get(item, 0) for item in initial.order]
 

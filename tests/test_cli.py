@@ -202,6 +202,20 @@ def test_simulate_missing_file_is_exit_3(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_a_repeated_list_id_is_a_short_error_line(capsys, tmp_path):
+    # 200,000 ids plus one repeat: the error names the id and its two
+    # positions instead of writing the whole list to stderr.
+    list_file = tmp_path / "list.txt"
+    seq_file = tmp_path / "seq.txt"
+    list_file.write_text(" ".join(map(str, range(1, 200_001))) + " 123456\n")
+    seq_file.write_text("1\n")
+    code, out, err = run_cli(capsys, "simulate", "--algo", "mtf",
+                             "--list-file", str(list_file), "--seq-file", str(seq_file))
+    assert (code, out) == (3, "")
+    assert err == "error: bad list file: item ids must be distinct, got item 123456 at positions 123456 and 200001\n"
+    assert len(err.encode()) < 200
+
+
 def test_simulate_malformed_file_is_exit_3(capsys, tmp_path):
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"

@@ -22,7 +22,7 @@ from solist import (
     verify_grid,
 )
 from solist import closed_form, harness
-from solist.errors import as_family, check_int
+from solist.errors import check_int
 from solist.harness import _first_divergence
 from solist.list_core import PeriodicView
 from solist.seqgen import GENERATORS
@@ -290,7 +290,7 @@ def test_crossover_once_won_stays_won():
 def scan_crossover(family, n, k_max):
     """The linear scan that crossover's piecewise search replaced, kept as
     its differential oracle: two predictions for every k in 1..k_max."""
-    family = as_family(family)
+    family = Family(family)
     check_int(k_max, "k_max")
     k_star = None
     for k in range(1, k_max + 1):
@@ -337,19 +337,26 @@ def test_crossover_equals_the_scan_on_a_grid():
                 assert crossover(family, n, k_max) == scan_crossover(family, n, k_max)
 
 
-def _defective_trans(monkeypatch, family, sign, p, q, shift=0):
+def _defective_trans(monkeypatch, family, sign, p, q, shift=0, last=None, later=None):
     """Make transpose's total on ``family`` move-to-front's plus
-    sign*(k - p)*(k - q) + shift, as one case piece."""
-    family = as_family(family)
+    sign*(k - p)*(k - q) + shift, as one case piece; or, given ``last``,
+    as the piece for k <= last, followed by a piece with the defect
+    ``later``, another (sign, p, q, shift)."""
+    family = Family(family)
     pieces = closed_form._pieces
+
+    def defect(mtf, last, sign, p, q, shift):
+        d = mtf.denominator
+        return mtf._replace(last=last, case_id="defect", c0=mtf.c0 + d * (sign * p * q + shift),
+                            c1=mtf.c1 - d * sign * (p + q), c2=mtf.c2 + d * sign)
 
     def defective(algorithm, family_, n):
         if (algorithm, family_) != (Algorithm.TRANS, family):
             return pieces(algorithm, family_, n)
         (mtf,) = pieces(Algorithm.MTF, family, n)
-        d = mtf.denominator
-        return (mtf._replace(case_id="defect", c0=mtf.c0 + d * (sign * p * q + shift),
-                             c1=mtf.c1 - d * sign * (p + q), c2=mtf.c2 + d * sign),)
+        if last is None:
+            return (defect(mtf, None, sign, p, q, shift),)
+        return defect(mtf, last, sign, p, q, shift), defect(mtf, None, *later)
 
     monkeypatch.setattr(closed_form, "_pieces", defective)
 
@@ -394,6 +401,29 @@ def test_defective_quadratics_match_the_scan(family, n, sign, p, width, shift, k
     # return the scan's result or raise its error, word for word.
     with pytest.MonkeyPatch.context() as monkeypatch:
         _defective_trans(monkeypatch, family, sign, p, p + width, shift)
+        assert _outcome(crossover, family, n, k_max) == _outcome(scan_crossover, family, n, k_max)
+
+
+quadratic_defects = st.tuples(st.sampled_from([1, -1]), st.integers(min_value=-5, max_value=60),
+                              st.integers(min_value=0, max_value=40), st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["T1", "T2"]),
+    n=st.integers(min_value=1, max_value=40),
+    before=quadratic_defects,
+    after=quadratic_defects,
+    last=st.integers(min_value=1, max_value=40),
+    k_max=st.integers(min_value=1, max_value=90),
+)
+def test_two_piece_defects_match_the_scan(family, n, before, after, last, k_max):
+    # A defective table whose transpose has two pieces, each any quadratic:
+    # a win on one side of the break and a loss on the other is found by the
+    # search across pieces, with the scan's result or its error, word for word.
+    (sign, p, width, shift), (sign2, p2, width2, shift2) = before, after
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _defective_trans(monkeypatch, family, sign, p, p + width, shift, last, (sign2, p2, p2 + width2, shift2))
         assert _outcome(crossover, family, n, k_max) == _outcome(scan_crossover, family, n, k_max)
 
 

@@ -63,6 +63,19 @@ def test_liststate_rejects_duplicates():
         ListState((1, 2, 2))
 
 
+def test_a_repeated_id_is_named_with_its_two_positions():
+    # The first id seen twice, at its two 1-based positions, not the whole
+    # order: a 200,001-item list printed itself into a 1.5 MB message.
+    order = list(range(1, 200_001))
+    order.insert(150_000, 7)
+    with pytest.raises(InvalidParameterError) as caught:
+        ListState(tuple(order))
+    assert str(caught.value) == "item ids must be distinct, got item 7 at positions 7 and 150001"
+    with pytest.raises(InvalidParameterError) as caught:
+        ListState((5, 3, 3, 5))
+    assert str(caught.value) == "item ids must be distinct, got item 3 at positions 2 and 3"
+
+
 def test_initial_builds_canonical_list():
     assert ListState.initial(4).order == (1, 2, 3, 4)
     assert ListState.initial(4) == ListState((1, 2, 3, 4))

@@ -7,9 +7,12 @@ bool, a float, and anything below the minimum must be rejected with
 InvalidParameterError. Repetition counts of generated sequences accept
 k=0 (the empty sequence); the closed forms and the harness need k >= 1.
 
-Each name lookup accepts its names in any case and rejects any other
-value with one message: the value as passed and the names it knows.
+Each name lookup accepts its names in any case, and an enum its own
+members, and rejects any other value with one message: the value as
+passed and the names it knows.
 """
+
+import sys
 
 import pytest
 
@@ -19,6 +22,7 @@ from solist import (
     Family,
     FrequencyCount,
     InvalidParameterError,
+    ItemNotInListError,
     ListState,
     MoveToFront,
     ParseError,
@@ -36,12 +40,11 @@ from solist import (
     parse_sequence_file,
     per_pass_profile,
     predict,
+    serve,
     trans_t1,
     trans_t2,
     verify_grid,
 )
-from solist.closed_form import as_algorithm
-from solist.errors import as_family
 
 ENTRY_POINTS = {
     "ListState.initial.n": (lambda v: ListState.initial(v), 1),
@@ -127,8 +130,8 @@ def test_each_request_in_a_sequence_file_is_an_id(value):
 
 
 LOOKUPS = {
-    "family": (as_family, {"t1": Family.T1, "t2": Family.T2}),
-    "algorithm": (as_algorithm, {"mtf": Algorithm.MTF, "trans": Algorithm.TRANS}),
+    "family": (Family, {"t1": Family.T1, "t2": Family.T2}),
+    "algorithm": (Algorithm, {"mtf": Algorithm.MTF, "trans": Algorithm.TRANS}),
     "cost model": (CostModel, {"full": CostModel.FULL, "partial": CostModel.PARTIAL}),
     "policy": (make_policy, {"mtf": MoveToFront, "trans": Transpose, "fc": FrequencyCount}),
 }
@@ -141,7 +144,41 @@ def test_name_lookups(kind):
         for spelling in (name, name.upper(), name.capitalize()):
             value = lookup(spelling)
             assert (type(value) if kind == "policy" else value) is expected
-    for bad in ("t3", "", None, 1):
+        if kind != "policy":
+            assert lookup(expected) is expected
+    # A member of another of the name enums is no name of this one.
+    others = [member for enum in (Family, Algorithm, CostModel) if enum is not lookup for member in enum]
+    for bad in ("t3", "", None, 1, *others):
         with pytest.raises(InvalidParameterError) as caught:
             lookup(bad)
         assert str(caught.value) == f"unknown {kind} {bad!r}; expected one of {list(names)}"
+
+
+HUGE = 10**5000  # 5001 digits: past CPython's default limit of 4300 for int-to-str conversion
+HUGE_CALLS = {
+    "ListState.initial": (lambda: ListState.initial(HUGE), InvalidParameterError),
+    "ListState.initial.negative": (lambda: ListState.initial(-HUGE), InvalidParameterError),
+    "ListState.repeated_item": (lambda: ListState((1, HUGE, HUGE)), InvalidParameterError),
+    "gen_t1.k": (lambda: gen_t1(2, HUGE), InvalidParameterError),
+    "RequestSequence.repeat.k": (lambda: RequestSequence.repeat((1,), HUGE), InvalidParameterError),
+    "PeriodicView.length": (lambda: PeriodicView((), (), HUGE), InvalidParameterError),
+    "verify_grid.k_upper": (lambda: verify_grid(["mtf"], ["t1"], (1, 1), (1, HUGE)), InvalidParameterError),
+    "verify_grid.k_range": (lambda: verify_grid(["mtf"], ["t1"], (1, 1), (HUGE, 1)), InvalidParameterError),
+    "FrequencyCount.counter": (lambda: FrequencyCount({HUGE: -1}), InvalidParameterError),
+    "FrequencyCount.counted_item": (lambda: FrequencyCount({HUGE: 1}).step(ListState((1,)), 1), InvalidParameterError),
+    "serve.item": (lambda: serve(make_policy("trans"), ListState((1,)), explicit_sequence((HUGE,))),
+                   ItemNotInListError),
+    "step.item": (lambda: make_policy("mtf").step(ListState((1,)), HUGE), ItemNotInListError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HUGE_CALLS))
+def test_a_huge_int_is_named_in_the_library_error(entry):
+    # The message names the int, even one too long for str(): as its sign
+    # and bit length, not a bare ValueError from the conversion.
+    call, error = HUGE_CALLS[entry]
+    with pytest.raises(error) as caught:
+        call()
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert "-bit int>" in str(caught.value)
+        assert len(str(caught.value)) < 200
