@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
 
-from .errors import Family, SolistError, check_int, choose
+from .errors import Family, SolistError, by_value, check_int
 
 __all__ = [
     "Algorithm",
@@ -45,9 +45,7 @@ class Algorithm(Enum):
     MTF = "mtf"
     TRANS = "trans"
 
-    @classmethod
-    def _missing_(cls, name):
-        return choose({algorithm.value: algorithm for algorithm in cls}, name, "algorithm")
+    _missing_ = by_value("algorithm")
 
 
 class Prediction(NamedTuple):
@@ -149,17 +147,9 @@ def trans_t2(n: int, k: int) -> Prediction:
     return next(_totals(Algorithm.TRANS, Family.T2, n, k, k))
 
 
-_EVALUATORS = {
-    (Algorithm.MTF, Family.T1): mtf_t1,
-    (Algorithm.MTF, Family.T2): mtf_t2,
-    (Algorithm.TRANS, Family.T1): trans_t1,
-    (Algorithm.TRANS, Family.T2): trans_t2,
-}
-
-
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:
-    """Route to the matching evaluator for (algorithm, family)."""
-    return _EVALUATORS[Algorithm(algorithm), Family(family)](n, k)
+    """The closed form of (algorithm, family) at (n, k): what the matching evaluator above returns."""
+    return next(_totals(Algorithm(algorithm), Family(family), n, k, k))
 
 
 def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PeriodicView:

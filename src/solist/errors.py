@@ -1,6 +1,7 @@
 """Exception types, input checks and the request-sequence families: every other module imports this one."""
 
 from enum import Enum
+from functools import cache
 
 __all__ = [
     "Family",
@@ -81,12 +82,21 @@ def choose(table: dict, name, kind: str):
         raise InvalidParameterError(f"unknown {kind} {name!r}; expected one of {list(table)}") from None
 
 
+def by_value(kind: str) -> classmethod:
+    """An enum's ``_missing_``: ``choose`` over its members by lower-case
+    value, a table built once per enum, naming ``kind`` in the error."""
+    return classmethod(lambda enum, name: choose(_members_by_value(enum), name, kind))
+
+
+@cache
+def _members_by_value(enum) -> dict:
+    return {member.value.lower(): member for member in enum}
+
+
 class Family(Enum):
     """The generated request-sequence families."""
 
     T1 = "T1"  # the initial list order, repeated k times
     T2 = "T2"  # the reversed list order, repeated k times
 
-    @classmethod
-    def _missing_(cls, name):
-        return choose({family.value.lower(): family for family in cls}, name, "family")
+    _missing_ = by_value("family")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .errors import InvalidParameterError, check_ids, check_int, choose, shown
+from .errors import InvalidParameterError, by_value, check_ids, check_int, shown
 
 __all__ = ["CostModel", "ListState", "PeriodicView", "CostLedger"]
 
@@ -35,9 +35,7 @@ class CostModel(Enum):
     FULL = "full"
     PARTIAL = "partial"
 
-    @classmethod
-    def _missing_(cls, name):
-        return choose({model.value: model for model in cls}, name, "cost model")
+    _missing_ = by_value("cost model")
 
     @classmethod
     def discount(cls, model: "CostModel") -> int:

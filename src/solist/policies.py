@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose, shown
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
@@ -31,10 +31,11 @@ __all__ = [
 # A run of a rule owns its working arrangement. ``_start_run`` returns
 #   advance(item) -> the item's 1-based position before the access, after
 #       which the rule has reorganized the arrangement;
-#   snapshot() -> (the current arrangement as a tuple of items, the
-#       counters in the same order for frequency count, or None).
+#   state() -> the run's exact state, hashable: two runs from one initial
+#       list in equal states serve every later request alike;
+#   arrangement(state) -> that state's arrangement, as a tuple of items.
 # An item not in the list makes advance raise KeyError.
-_Run = tuple[Callable[[int], int], Callable[[], tuple[tuple, tuple | None]]]
+_Run = tuple[Callable[[int], int], Callable[[], Hashable], Callable[[Hashable], tuple]]
 
 # Move-to-front and frequency count hold the arrangement as a str in which
 # each item is a token: chr(its index in the initial order). Finding an
@@ -80,28 +81,28 @@ class Policy:
     """Base class for reorganization rules. Policies are immutable values;
     stateful rules (frequency count) return an updated copy from ``step``.
 
-    A rule is defined once, by ``_start_run``: it starts a run from a
-    state and returns the run's advance function and its snapshot
-    function, which reads the arrangement and, for rules that keep them,
-    the counters.
-    ``step`` and ``serve`` are both built on it.
+    A rule is defined once, by ``_start_run``, which starts a run from a
+    state and returns its advance, state and arrangement functions, and by
+    ``_after``, the policy for the next request. ``step`` and ``serve``
+    are both built on these and name no rule.
     """
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
         check_ids((item,), "each request")
         discount = CostModel.discount(model)
-        advance, snapshot = self._start_run(state)
+        advance, run_state, arrangement = self._start_run(state)
         try:
             pos = advance(item)
         except KeyError:
             raise ItemNotInListError(item) from None
-        order, along = snapshot()
-        new_policy = self if along is None else FrequencyCount(dict(zip(order, along)))
-        return AccessOutcome(pos - discount, ListState._unchecked(order), new_policy)
+        return AccessOutcome(pos - discount, ListState._unchecked(arrangement(run_state())), self._after(item))
 
     def _start_run(self, initial: ListState) -> _Run:
         raise NotImplementedError
+
+    def _after(self, item: int) -> "Policy":
+        return self  # a rule without counters is the same policy after any access
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class MoveToFront(Policy):
                 s = token + s[:at] + s[at + width:]
             return at // width + 1
 
-        return advance, lambda: (decode(s), None)
+        return advance, lambda: s, decode
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class Transpose(Policy):
                 where[ahead] = pos
             return pos + 1
 
-        return advance, lambda: (tuple(order), None)
+        return advance, lambda: tuple(order), tuple
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,9 @@ class FrequencyCount(Policy):
     def counter(self, item: int) -> int:
         return self.counters.get(item, 0)
 
+    def _after(self, item: int) -> "FrequencyCount":
+        return FrequencyCount({**self.counters, item: self.counter(item) + 1})
+
     def _start_run(self, initial: ListState) -> _Run:
         token_of, width, decode = _encode(initial.order)
         stray = self.counters.keys() - token_of.keys()
@@ -209,7 +213,11 @@ class FrequencyCount(Policy):
                 s = s[:cut] + token + s[cut:at] + s[at + width:]
             return pos + 1
 
-        return advance, lambda: (decode(s), tuple(along))
+        def state() -> tuple[str, tuple[int, ...]]:
+            low = min(along)  # the rule only compares counters: a common offset changes nothing
+            return s, tuple(map(low.__rsub__, along))
+
+        return advance, state, lambda key: decode(key[0])
 
 
 _FACTORIES = {
@@ -240,7 +248,7 @@ def _costs(advance: Callable[[int], int], discount: int, blocks: Iterable[Sequen
 def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
     """The total cost of serving ``blocks`` one after another, holding one block's costs at a time."""
     discount = CostModel.discount(model)
-    advance, _ = policy._start_run(initial)
+    advance = policy._start_run(initial)[0]
     return sum(map(sum, _costs(advance, discount, blocks)))
 
 
@@ -260,14 +268,14 @@ def serve(
     subtotals and the configuration snapshot at every pass boundary. Any
     other sequence is served slice by slice, with both pass fields None.
 
-    A pass of a block is a fixed map of the list state, so once a pass-end
-    state repeats, the passes since its first occurrence repeat forever.
-    ``serve`` stops there: the ledger's views hold the passes before that
-    cycle and one copy of it, and read as the same ledger, request for
-    request, at any number of passes.
+    A pass of a block is a fixed map of the run state that each rule
+    defines, so once a pass-end state repeats, the passes since its first
+    occurrence repeat forever. ``serve`` stops there: the ledger's views
+    hold the passes before that cycle and one copy of it, and read as the
+    same ledger, request for request, at any number of passes.
     """
     discount = CostModel.discount(model)
-    advance, snapshot = policy._start_run(initial)
+    advance, state, arrangement = policy._start_run(initial)
     from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
     per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     block = sequence.block
@@ -275,12 +283,9 @@ def serve(
         requests = iter(sequence.requests)
         for costs in _costs(advance, discount, iter(lambda: tuple(islice(requests, _SLICE)), ())):
             per_request.fromlist(costs)
-        return CostLedger(PeriodicView(per_request), ListState._unchecked(snapshot()[0]))
+        return CostLedger(PeriodicView(per_request), ListState._unchecked(arrangement(state())))
     num_passes = len(sequence) // len(block)
-    # Pass-end state -> index of the first pass that ended in it. For fc
-    # the state includes the counters less their minimum: the rule only
-    # compares counters, so a common offset does not change what it does.
-    seen: dict = {}
+    seen: dict = {}  # pass-end run state -> index of the first pass that ended in it
     pass_totals: list[int] = []
     pass_configs: list[ListState] = []
     # From pass cycle_start on, the stored passes repeat as one cycle.
@@ -289,12 +294,9 @@ def serve(
         per_request.fromlist(costs)
         pass_totals.append(sum(costs))
         del costs  # so that two passes' costs are never held at once
-        config, along = snapshot()
-        pass_configs.append(ListState._unchecked(config))
-        if along is not None:
-            low = min(along)
-            along = tuple(count - low for count in along)
-        first = seen.setdefault((config, along), len(seen))
+        key = state()
+        pass_configs.append(ListState._unchecked(arrangement(key)))  # from the key: trans stores one tuple
+        first = seen.setdefault(key, len(seen))
         if len(seen) < len(pass_configs):  # an earlier pass ended in this state
             cycle_start = first + 1
             break

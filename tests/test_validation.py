@@ -154,6 +154,19 @@ def test_name_lookups(kind):
         assert str(caught.value) == f"unknown {kind} {bad!r}; expected one of {list(names)}"
 
 
+def test_each_name_table_is_built_once():
+    # A name that is not a member's exact value reaches the enum's
+    # _missing_; its table of members by lower-case value is built on the
+    # first such lookup only, not on every one.
+    from solist import errors
+
+    for enum, name in ((Family, "t1"), (Algorithm, "MTF"), (CostModel, "Full")):
+        enum(name)
+        built = errors._members_by_value.cache_info().misses
+        assert enum(name) is enum(name.swapcase())
+        assert errors._members_by_value.cache_info().misses == built
+
+
 HUGE = 10**5000  # 5001 digits: past CPython's default limit of 4300 for int-to-str conversion
 HUGE_CALLS = {
     "ListState.initial": (lambda: ListState.initial(HUGE), InvalidParameterError),
