@@ -75,11 +75,10 @@ def check_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
 
 
 def choose(table: dict, name, kind: str):
-    """``table[str(name).lower()]``, or InvalidParameterError naming ``name`` as given."""
-    try:
-        return table[str(name).lower()]
-    except KeyError:
-        raise InvalidParameterError(f"unknown {kind} {name!r}; expected one of {list(table)}") from None
+    """``table[name.lower()]`` for a str ``name``, or InvalidParameterError naming ``name`` as given."""
+    if isinstance(name, str) and name.lower() in table:
+        return table[name.lower()]
+    raise InvalidParameterError(f"unknown {kind} {shown(name)}; expected one of {list(table)}")
 
 
 def by_value(kind: str) -> classmethod:

@@ -1,7 +1,5 @@
 """End-to-end command-line tests: exact output text and exit codes."""
 
-import os
-import random
 import signal
 import subprocess
 import sys
@@ -18,7 +16,7 @@ from solist import ParseError, Prediction, SolistError, predict
 from solist.cli import main
 from solist.closed_form import _totals
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import child_env, linux_only, solist_child, zipf_files
 
 
 def run_cli(capsys, *argv):
@@ -123,24 +121,12 @@ def test_a_huge_bad_token_is_quoted_short(capsys, tmp_path, bad_file):
 
 
 def test_simulate_holds_one_int_per_distinct_request(capsys, tmp_path):
-    # 200k Zipf-like requests over 1000 ids: repeated ids share one int
-    # and serve's ledger keeps its list of costs without a copy. Parsing
-    # every token to its own int and copying that list peaked near 12 MB.
-    rng = random.Random(3)
-    ids = list(range(1, 1001))
-    rng.shuffle(ids)
-    requests = rng.choices(ids, weights=[1 / rank for rank in range(1, 1001)], k=200_000)
-    list_file = tmp_path / "list.txt"
-    seq_file = tmp_path / "seq.txt"
-    list_file.write_text(" ".join(map(str, range(1, 1001))) + "\n")
-    seq_file.write_text("\n".join(" ".join(map(str, requests[i:i + 20])) for i in range(0, 200_000, 20)) + "\n")
-    order = list(range(1, 1001))
-    total = 0
-    for item in requests:
-        at = order.index(item)
-        total += at + 1
-        if at:
-            order[at - 1], order[at] = item, order[at - 1]
+    # 200k Zipf-like requests over 1000 ids. simulate reads the sequence
+    # file a line at a time, repeated ids share one int through the
+    # parser's token table, and only a running total of the costs is kept.
+    # Parsing every token to its own int and copying the list of costs
+    # peaked near 12 MB.
+    list_file, seq_file, total = zipf_files(tmp_path, 200_000, seed=3)
     tracemalloc.start()
     try:
         code = main(["simulate", "--algo", "trans", "--list-file", str(list_file), "--seq-file", str(seq_file)])
@@ -234,13 +220,7 @@ def test_simulate_non_utf8_file_is_exit_3(tmp_path):
     seq_file = tmp_path / "seq.txt"
     list_file.write_text("1 2 3\n")
     seq_file.write_bytes(b"1 2\xff 3\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [
-        sys.executable, "-m", "solist", "simulate", "--algo", "mtf",
-        "--list-file", str(list_file), "--seq-file", str(seq_file),
-    ]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    result = solist_child("simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file))
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
@@ -558,6 +538,16 @@ def test_crossover_at_a_huge_kmax(capsys, seq):
     assert [line.split()[2] for line in out.splitlines()] == [line.split()[2] for line in at_200.splitlines()]
 
 
+@pytest.mark.parametrize("seq, k_star", [("t1", 2), ("t2", 1)])
+def test_transpose_wins_from_one_k_for_every_n_up_to_2000(capsys, seq, k_star):
+    # The paper's headline: transpose first beats move-to-front at k = 2 on
+    # T1 and at k = 1 on T2 for every n in 3..2000, and never at n = 1 or 2.
+    code, out, err = run_cli(capsys, "crossover", "--seq", seq, "--n", "1..2000", "--kmax", str(10**12))
+    family = seq.upper()
+    rows = [f"{family} 1 none", f"{family} 2 none", *(f"{family} {n} {k_star}" for n in range(3, 2001))]
+    assert (code, out, err) == (0, "".join(f"{line}\n" for line in ["family n k_star", *rows]), "")
+
+
 def test_crossover_bad_n_range(capsys):
     code, _, err = run_cli(capsys, "crossover", "--seq", "t1", "--n", "0..3", "--kmax", "5")
     assert code == 2
@@ -611,11 +601,9 @@ def test_simulate_a_trillion_passes(capsys, algo):
 
 
 def test_module_entry_point_is_byte_deterministic(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "solist", "compare", "--seq", "t1", "--n", "5", "--k", "1..10"]
-    first = subprocess.run(argv, capture_output=True, env=env, check=True)
-    second = subprocess.run(argv, capture_output=True, env=env, check=True)
+    argv = ["compare", "--seq", "t1", "--n", "5", "--k", "1..10"]
+    first = solist_child(*argv, text=False, check=True)
+    second = solist_child(*argv, text=False, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"n,k,family,mtf_cost,trans_cost\n")
     assert len(first.stdout.splitlines()) == 11
@@ -625,10 +613,8 @@ def test_module_entry_point_is_byte_deterministic(tmp_path):
 def test_closed_stdout_ends_the_command_silently():
     # As `solist compare ... | head -1`: the reader leaves after one line,
     # while the command still has megabytes of rows to write.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     argv = [sys.executable, "-m", "solist", "compare", "--seq", "t1", "--n", "5", "--k", "1..300000"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         assert proc.stdout.readline() == b"n,k,family,mtf_cost,trans_cost\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -687,10 +673,7 @@ def test_huge_integers_print_in_full(capsys, case):
     with _digits_unlimited():
         assert (code, out, err) == (status, *expected())
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-m", "solist", *argv], capture_output=True, text=True, env=env,
-                            timeout=60)
+    result = solist_child(*argv, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
@@ -732,22 +715,23 @@ def test_error_line_is_written_outside_the_handler(monkeypatch, error, code, mes
     assert writer.handling and all(exc is None for exc in writer.handling)
 
 
-def _limit_address_space():
-    import resource
-
-    # Room for the interpreter and the CLI's modules, but not for a list of
-    # three million items.
-    limit = 175 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@linux_only
 def test_verify_out_of_memory_is_exit_2():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "solist", "verify", "--algo", "mtf", "--seq", "t1", "--n", "3000000", "--k", "1"]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env,
-                            preexec_fn=_limit_address_space, timeout=120)
+    # The limit leaves room for the interpreter and the CLI's modules, but
+    # not for a list of three million items.
+    result = solist_child("verify", "--algo", "mtf", "--seq", "t1", "--n", "3000000", "--k", "1", limit_mb=175)
     assert result.returncode == 2, result.stderr
     assert result.stderr == "error: not enough memory for these parameters\n"
     assert result.stdout == ""
+
+
+@linux_only
+def test_cli_stores_a_thousand_passes_as_machine_ints():
+    # Transpose on T1 at n = 2000 repeats no pass-end state within 1001
+    # passes, so serve stores all 1001 of them: 2M costs, as 8-byte machine
+    # ints. This run passes at 56 MB and fails at 48 MB under CPython 3.11.7;
+    # a list of int objects failed at 100 MB.
+    result = solist_child("simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", limit_mb=80)
+    prediction = predict("trans", "T1", 2000, 1001)
+    assert (prediction.case_id, prediction.total) == ("3.1b", 2003501500)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "total 2003501500\n", "")

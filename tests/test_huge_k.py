@@ -7,11 +7,6 @@ against it at such k, and check the compressed ledger, element by
 element, against the naive oracle on the expanded requests.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +22,8 @@ from solist.list_core import PeriodicView
 from solist.seqgen import GENERATORS, Family
 
 import reference
+from helpers import linux_only, solist_child
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 HUGE_KS = (10**6, 10**9, 10**12)
 
 
@@ -140,20 +135,9 @@ def test_compressed_ledger_matches_the_oracle(name, inst, data):
             assert longer.pass_end_configs[:len(ledger.pass_end_configs)] == ledger.pass_end_configs
 
 
-def _limit_address_space():
-    import resource
-
-    limit = 128 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@linux_only
 def test_cli_simulates_a_trillion_passes_in_bounded_memory():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "solist", "simulate", "--algo", "trans", "--seq", "t1",
-            "--n", "50", "--k", str(10**12)]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env,
-                            preexec_fn=_limit_address_space, timeout=60)
+    result = solist_child("simulate", "--algo", "trans", "--seq", "t1", "--n", "50", "--k", str(10**12),
+                          limit_mb=128, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"total {predict('trans', 'T1', 50, 10**12).total}\n"

@@ -28,6 +28,7 @@ from solist import policies
 from solist.list_core import PeriodicView
 
 import reference
+from helpers import zipf_requests
 
 POLICIES = {
     "mtf": MoveToFront(),
@@ -497,10 +498,8 @@ def test_stream_without_passes_holds_one_slice_of_int_costs():
     # 200k Zipf-like requests over 1000 shuffled ids: the ledger's 8-byte
     # costs take 1.6 MB. Holding the stream's costs as a list of int
     # objects as well peaked at 4.58 MB.
-    rng = random.Random(1)
-    order = list(range(1, 1001))
-    rng.shuffle(order)
-    sequence = explicit_sequence(rng.choices(order, weights=[1 / rank for rank in range(1, 1001)], k=200_000))
+    order, requests = zipf_requests(200_000, seed=1)
+    sequence = explicit_sequence(requests)
     policy, initial = make_policy("trans"), ListState(tuple(order))
     tracemalloc.start()
     try:

@@ -4,10 +4,7 @@ first error in file order ends the run before anything is printed, and
 its memory does not grow with the number of requests."""
 
 import io
-import os
 import random
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
@@ -20,8 +17,7 @@ from solist import predict
 from solist.cli import main
 
 import reference
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import linux_only, solist_child, transpose_total, write_request_files, zipf_files
 
 # Every line boundary of str.splitlines(), and the gaps that separate tokens within a line.
 BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -104,30 +100,17 @@ def test_the_list_file_is_read_up_to_its_list(capsys, tmp_path):
     assert (code, *capsys.readouterr()) == (0, "total 4\n", "")
 
 
-def _zipf_files(directory, requests, seed):
-    """A list of 1000 ids and ``requests`` Zipf-like requests over them, 20
-    to a line; returns the paths and the transpose total of a list walk."""
-    rng = random.Random(seed)
-    order = list(range(1, 1001))
-    rng.shuffle(order)
-    stream = rng.choices(order, weights=[1 / rank for rank in range(1, 1001)], k=requests)
-    list_file, seq_file = directory / "list.txt", directory / "seq.txt"
-    list_file.write_text(" ".join(map(str, order)) + "\n")
-    seq_file.write_text("\n".join(" ".join(map(str, stream[i:i + 20])) for i in range(0, requests, 20)) + "\n")
-    total = 0
-    for item in stream:
-        at = order.index(item)
-        total += at + 1
-        if at:
-            order[at - 1], order[at] = item, order[at - 1]
-    return list_file, seq_file, total
+@given(order=st.permutations(range(1, 7)), requests=st.lists(st.integers(min_value=1, max_value=6), max_size=40))
+def test_the_fast_transpose_walk_equals_the_reference(order, requests):
+    # The oracle that totals the large files below keeps a position dict.
+    assert transpose_total(order, requests) == sum(reference.run("trans", order, requests)[0])
 
 
 def test_simulate_on_files_holds_one_line_at_a_time(capsys, tmp_path):
     # Holding the file text, the parsed requests and a cost per request
     # peaked near 6 MB here; one line at a time holds the list, its kernel
     # and the token table: about 0.3 MB.
-    list_file, seq_file, total = _zipf_files(tmp_path, 200_000, seed=5)
+    list_file, seq_file, total = zipf_files(tmp_path, 200_000, seed=5)
     tracemalloc.start()
     try:
         code = main(["simulate", "--algo", "trans", "--list-file", str(list_file), "--seq-file", str(seq_file)])
@@ -138,30 +121,38 @@ def test_simulate_on_files_holds_one_line_at_a_time(capsys, tmp_path):
     assert peak < 1_000_000
 
 
-def _limit_address_space():
-    import resource
-
-    # Room for the interpreter, the CLI's modules and one line of requests
-    # (the child runs in 30 MB), but not for the file text, a parsed request
-    # and a cost per request of two million: holding them fails even in 128 MB.
-    limit = 96 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@linux_only
 def test_two_million_requests_are_served_in_bounded_address_space(tmp_path):
     # 2000 descending scans of 1000 items, 20 requests a line: transpose on
-    # T2, whose total the paper's closed form gives. One case only: the child
-    # runs alone under its limit, never beside another.
+    # T2, whose total the paper's closed form gives. The limit leaves room
+    # for the interpreter, the CLI's modules and one line of requests (the
+    # child runs in 24 MB), but not for the file text, a parsed request and
+    # a cost per request of two million: holding them fails even in 128 MB.
+    # One case only: the child runs alone under its limit, never beside another.
     list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
     list_file.write_text(" ".join(map(str, range(1, 1001))) + "\n")
     scan = list(range(1000, 0, -1))
     seq_file.write_text("".join(" ".join(map(str, scan[i:i + 20])) + "\n" for i in range(0, 1000, 20)) * 2000)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "solist", "simulate", "--algo", "trans",
-            "--list-file", str(list_file), "--seq-file", str(seq_file)]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env,
-                            preexec_fn=_limit_address_space, timeout=120)
+    result = solist_child("simulate", "--algo", "trans", "--list-file", str(list_file), "--seq-file", str(seq_file),
+                          limit_mb=64)
     expected = predict("trans", "T2", 1000, 2000).total
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"total {expected}\n", "")
+
+
+@linux_only
+def test_lines_of_new_ids_are_served_in_bounded_address_space(tmp_path):
+    # 190,000 shuffled ids, then ~10,000 lines that each repeat the previous
+    # line's last id and bring 19 new ones, so the sequence parser's token
+    # table fills and starts over again and again. This run passes at 54 MB
+    # and fails at 52 MB here; with a table that never starts over it fails
+    # at 72 MB and passes at 80 MB.
+    rng = random.Random(1)
+    order = list(range(1, 190_001))
+    rng.shuffle(order)
+    new = rng.sample(order, len(order))
+    lines = [new[:19]] + [new[i - 1:i + 19] for i in range(19, len(new), 19)]
+    list_file, seq_file = write_request_files(tmp_path, order, lines)
+    result = solist_child("simulate", "--algo", "trans", "--list-file", str(list_file), "--seq-file", str(seq_file),
+                          limit_mb=64)
+    expected = transpose_total(order, (item for line in lines for item in line))
     assert (result.returncode, result.stdout, result.stderr) == (0, f"total {expected}\n", "")

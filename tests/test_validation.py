@@ -182,6 +182,7 @@ HUGE_CALLS = {
     "serve.item": (lambda: serve(make_policy("trans"), ListState((1,)), explicit_sequence((HUGE,))),
                    ItemNotInListError),
     "step.item": (lambda: make_policy("mtf").step(ListState((1,)), HUGE), ItemNotInListError),
+    "make_policy": (lambda: make_policy(HUGE), InvalidParameterError),
 }
 
 
