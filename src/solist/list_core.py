@@ -44,7 +44,7 @@ class CostModel(Enum):
         under PARTIAL than under FULL. Raises InvalidParameterError for
         anything that is not a CostModel."""
         if not isinstance(model, cls):
-            raise InvalidParameterError(f"unknown cost model {model!r}")
+            raise InvalidParameterError(f"unknown cost model {shown(model)}")
         return 1 if model is cls.PARTIAL else 0
 
 

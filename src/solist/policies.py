@@ -214,7 +214,7 @@ class FrequencyCount(Policy):
             return pos + 1
 
         def state() -> tuple[str, tuple[int, ...]]:
-            low = min(along)  # the rule only compares counters: a common offset changes nothing
+            low = min(along, default=0)  # the rule only compares counters: a common offset changes nothing
             return s, tuple(map(low.__rsub__, along))
 
         return advance, state, lambda key: decode(key[0])

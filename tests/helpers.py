@@ -1,6 +1,8 @@
-"""What several test modules share: Zipf-like request streams and the
-list/sequence files that hold them, a fast transpose walk that totals
-them, and a ``python -m solist`` child run under an address-space limit.
+"""What several test modules share: ``check_serve``, which checks
+``serve``'s whole contract on one case against the naive oracles;
+Zipf-like request streams and the list/sequence files that hold them, a
+fast transpose walk that totals them; and a ``python -m solist`` child
+run under an address-space limit.
 
 The walk is an oracle like ``reference.run``, but it keeps a position
 dict, so it takes O(1) a request where ``reference.run`` rebuilds the
@@ -12,14 +14,80 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from solist import CostModel, FrequencyCount, MoveToFront, Transpose, serve
+
+import reference
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # RLIMIT_AS bounds a child's address space on Linux; elsewhere it is not enforced.
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+
+
+def fold_steps(policy, state, requests, model=CostModel.FULL):
+    """Serve ``requests`` one ``policy.step`` at a time: the costs, last state and last policy."""
+    costs = []
+    for item in requests:
+        outcome = policy.step(state, item, model)
+        costs.append(outcome.cost)
+        state = outcome.new_state
+        policy = outcome.new_policy
+    return tuple(costs), state, policy
+
+
+def fc_by_definition(order, counters, requests, model):
+    """Frequency count as its docstring states it, from any counters:
+    rebuild the list with the item moved past the run of predecessors
+    whose counters are strictly smaller than its new counter."""
+    order, counters = list(order), dict(counters)
+    costs, trace = [], []
+    for item in requests:
+        costs.append(reference.walk_cost(order, item, model.value))
+        at = order.index(item)
+        counters[item] = counters.get(item, 0) + 1
+        ahead = order[:at]
+        while ahead and counters.get(ahead[-1], 0) < counters[item]:
+            ahead.pop()
+        order = ahead + [item] + [x for x in order[len(ahead):] if x != item]
+        trace.append(tuple(order))
+    return costs, trace, counters
+
+
+def check_serve(policy, state, sequence, model=CostModel.FULL):
+    """Check ``serve(policy, state, sequence, model)`` against the oracle
+    (``reference.run``, or ``fc_by_definition`` for seeded counters) and
+    against folding ``policy.step``: its costs, total, final state and,
+    for a repeated block, its per-pass totals and pass-end arrangements.
+    Return the ledger, the oracle's costs and its arrangement after each
+    request."""
+    requests = list(sequence.requests)
+    ledger = serve(policy, state, sequence, model)
+    costs, final, after = fold_steps(policy, state, requests, model)
+    name = {MoveToFront: "mtf", Transpose: "trans", FrequencyCount: "fc"}[type(policy)]
+    if name == "fc" and policy.counters:  # reference.run starts frequency count from zero counters
+        oracle_costs, trace, _ = fc_by_definition(state.order, policy.counters, requests, model)
+    else:
+        oracle_costs, trace = reference.run(name, state.order, requests, model.value)
+    assert ledger.per_request == costs == tuple(oracle_costs)
+    assert ledger.grand_total == sum(costs)
+    assert ledger.final_state == final
+    assert final.order == (trace[-1] if trace else state.order)
+    if name == "fc":
+        counted = Counter(policy.counters) + Counter(requests)
+        assert all(after.counter(item) == counted[item] for item in state.order)
+    block = sequence.block
+    if block is None:
+        assert ledger.pass_totals is None and ledger.pass_end_configs is None
+    else:
+        n = len(block)
+        assert ledger.pass_totals == tuple(sum(costs[i:i + n]) for i in range(0, len(costs), n))
+        assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+    return ledger, costs, trace
 
 
 def zipf_requests(count, seed):

@@ -28,7 +28,7 @@ from solist import policies
 from solist.list_core import PeriodicView
 
 import reference
-from helpers import zipf_requests
+from helpers import check_serve, fc_by_definition, zipf_requests
 
 POLICIES = {
     "mtf": MoveToFront(),
@@ -44,16 +44,6 @@ def instance(draw, max_n=6, max_m=24):
     m = draw(st.integers(min_value=0, max_value=max_m))
     requests = draw(st.lists(st.sampled_from(perm), min_size=m, max_size=m))
     return ListState(tuple(perm)), tuple(requests)
-
-
-def fold_steps(policy, state, requests, model=CostModel.FULL):
-    costs = []
-    for item in requests:
-        outcome = policy.step(state, item, model)
-        costs.append(outcome.cost)
-        state = outcome.new_state
-        policy = outcome.new_policy
-    return tuple(costs), state, policy
 
 
 @pytest.mark.parametrize(
@@ -207,18 +197,8 @@ def test_make_policy_accepts_known_names():
 @settings(max_examples=60)
 def test_serve_equals_folded_steps(name, inst):
     state, requests = inst
-    seq = explicit_sequence(requests)
     for model in CostModel:
-        ledger = serve(POLICIES[name], state, seq, model)
-        costs, final, policy = fold_steps(POLICIES[name], state, requests, model)
-        oracle_costs, trace = reference.run(name, list(state.order), list(requests), model.value)
-        assert ledger.per_request == costs == tuple(oracle_costs)
-        assert ledger.grand_total == sum(costs)
-        assert ledger.final_state == final
-        if requests:
-            assert final.order == trace[-1]
-        if name == "fc":
-            assert all(policy.counter(x) == requests.count(x) for x in state.order)
+        check_serve(POLICIES[name], state, explicit_sequence(requests), model)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
@@ -226,11 +206,7 @@ def test_serve_equals_folded_steps(name, inst):
 @settings(max_examples=60)
 def test_serve_matches_naive_oracle(name, inst):
     state, requests = inst
-    ledger = serve(POLICIES[name], state, explicit_sequence(requests))
-    costs, trace = reference.run(name, list(state.order), list(requests))
-    assert ledger.per_request == tuple(costs)
-    if requests:
-        assert ledger.final_state.order == trace[-1]
+    check_serve(POLICIES[name], state, explicit_sequence(requests))
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
@@ -350,19 +326,8 @@ def test_fast_forward_equals_plain_simulation(name, inst):
     # A repeated permutation is served with the pass-end fast-forward; the
     # same requests without a pass structure are simulated one by one.
     state, seq = inst
-    n = len(state.order)
-    for model in CostModel:
-        ledger = serve(POLICIES[name], state, seq, model)
-        plain = serve(POLICIES[name], state, explicit_sequence(seq.requests), model)
-        assert ledger.per_request == plain.per_request
-        assert ledger.grand_total == plain.grand_total
-        assert ledger.final_state == plain.final_state
-        costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
-        assert ledger.per_request == tuple(costs)
-        assert ledger.pass_totals == tuple(
-            sum(costs[start:start + n]) for start in range(0, len(costs), n)
-        )
-        assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+    for served, model in itertools.product((seq, explicit_sequence(seq.requests)), CostModel):
+        check_serve(POLICIES[name], state, served, model)
 
 
 def test_serve_fast_forwards_repeating_passes():
@@ -379,13 +344,8 @@ def test_fast_forward_replays_a_two_pass_cycle():
     # from the second pass on; every k cuts the cycle at a different point.
     start, block = (2, 1, 4, 3), (1, 1, 2, 3, 3, 1, 2)
     for k in range(1, 10):
-        requests = block * k
-        ledger = serve(Transpose(), ListState(start), RequestSequence.repeat(block, k))
-        costs, trace = reference.run("trans", list(start), list(requests))
-        assert ledger.per_request == tuple(costs)
+        ledger, _, _ = check_serve(Transpose(), ListState(start), RequestSequence.repeat(block, k))
         assert ledger.pass_totals == (16, 16, 18, 15, 18, 15, 18, 15, 18)[:k]
-        assert [c.order for c in ledger.pass_end_configs] == trace[6::7]
-        assert ledger.final_state.order == trace[-1]
 
 
 def test_stored_costs_are_machine_ints():
@@ -410,31 +370,20 @@ def test_stored_costs_are_machine_ints():
     assert peak / stored <= 24
 
 
-def one_pass_matches_the_oracle(name, state, seq):
-    # A sequence that is not repetitions of one block has no passes: every
-    # request of its view, head and cycle, is served, slice by slice.
-    for model in CostModel:
-        ledger = serve(POLICIES[name], state, seq, model)
-        costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
-        assert ledger.per_request == tuple(costs)
-        assert ledger.final_state.order == (trace[-1] if trace else state.order)
-        assert ledger.pass_totals is None and ledger.pass_end_configs is None
-
-
 def test_repeated_state_with_different_passes_is_not_replayed():
     # Two descending scans end in the same state, but the third scan is
     # ascending: with the first two as the view's head, the sequence has
     # no block, and the third scan is simulated, not copied.
-    for name, n in itertools.product(POLICIES, (2, 3, 6)):
+    for name, n, model in itertools.product(POLICIES, (2, 3, 6), CostModel):
         down, up = tuple(range(n, 0, -1)), tuple(range(1, n + 1))
-        seq = RequestSequence(PeriodicView(down + down, up, 3 * n))
-        one_pass_matches_the_oracle(name, ListState.initial(n), seq)
+        check_serve(POLICIES[name], ListState.initial(n), RequestSequence(PeriodicView(down + down, up, 3 * n)), model)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
 def test_sequence_ending_partway_through_its_cycle_is_one_pass(name):
     # Five requests from a cycle of two: the trailing request is served.
-    one_pass_matches_the_oracle(name, ListState.initial(3), RequestSequence(PeriodicView((), (1, 2), 5)))
+    for model in CostModel:
+        check_serve(POLICIES[name], ListState.initial(3), RequestSequence(PeriodicView((), (1, 2), 5)), model)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
@@ -469,7 +418,8 @@ def test_stream_slices_match_the_oracle(name, length):
     order = list(range(1, 8))
     rng.shuffle(order)
     requests = tuple(rng.choices(order, weights=range(7, 0, -1), k=length))
-    one_pass_matches_the_oracle(name, ListState(tuple(order)), explicit_sequence(requests))
+    for model in CostModel:
+        check_serve(POLICIES[name], ListState(tuple(order)), explicit_sequence(requests), model)
 
 
 @pytest.mark.parametrize("index", [0, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE - 1, 2 * SLICE, 2 * SLICE + 2])
@@ -491,7 +441,8 @@ def test_missing_item_index_counts_from_the_stream_start(name, index):
 def test_head_and_cycle_without_passes_match_the_oracle(name, length):
     # A head makes the view no repetition of one block, so it has no
     # passes; its slices run across the head and cycle alike.
-    one_pass_matches_the_oracle(name, ListState.initial(3), RequestSequence(PeriodicView((1,), (2, 3), length)))
+    for model in CostModel:
+        check_serve(POLICIES[name], ListState.initial(3), RequestSequence(PeriodicView((1,), (2, 3), length)), model)
 
 
 def test_stream_without_passes_holds_one_slice_of_int_costs():
@@ -530,11 +481,8 @@ def test_fc_fast_forward_keys_on_counter_gaps():
 def test_fc_fast_forward_with_seeded_counters(inst, k, seeds):
     state, block = inst
     policy = FrequencyCount(dict(zip(state.order, seeds)))
-    requests = block * k
-    ledger = serve(policy, state, RequestSequence.repeat(block, k) if block else explicit_sequence(()))
-    plain = serve(policy, state, explicit_sequence(requests))
-    assert ledger.per_request == plain.per_request
-    assert ledger.final_state == plain.final_state
+    for seq in (RequestSequence.repeat(block, k) if block else explicit_sequence(()), explicit_sequence(block * k)):
+        check_serve(policy, state, seq)
 
 
 @st.composite
@@ -559,38 +507,8 @@ def test_trans_position_map_with_sparse_ids(inst):
     # fast-forward on the configuration the position map keeps in step.
     k = max(1, len(requests) // n)
     repeated = RequestSequence.repeat([state.order[i - 1] for i in perm], k)
-    for seq in (explicit_sequence(requests), repeated):
-        for model in CostModel:
-            ledger = serve(Transpose(), state, seq, model)
-            costs, final, _ = fold_steps(Transpose(), state, seq.requests, model)
-            oracle_costs, trace = reference.run("trans", list(state.order), list(seq.requests), model.value)
-            assert ledger.per_request == costs == tuple(oracle_costs)
-            assert ledger.grand_total == sum(costs)
-            assert ledger.final_state == final
-            assert final.order == (trace[-1] if trace else state.order)
-            if seq.block is not None:
-                assert ledger.pass_totals == tuple(
-                    sum(costs[start:start + n]) for start in range(0, len(costs), n)
-                )
-                assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
-
-
-def fc_by_definition(order, counters, requests, model):
-    """Frequency count as its docstring states it, from any counters:
-    rebuild the list with the item moved past the run of predecessors
-    whose counters are strictly smaller than its new counter."""
-    order, counters = list(order), dict(counters)
-    costs, trace = [], []
-    for item in requests:
-        costs.append(reference.walk_cost(order, item, model.value))
-        at = order.index(item)
-        counters[item] = counters.get(item, 0) + 1
-        ahead = order[:at]
-        while ahead and counters.get(ahead[-1], 0) < counters[item]:
-            ahead.pop()
-        order = ahead + [item] + [x for x in order[len(ahead):] if x != item]
-        trace.append(tuple(order))
-    return costs, trace, counters
+    for seq, model in itertools.product((explicit_sequence(requests), repeated), CostModel):
+        check_serve(Transpose(), state, seq, model)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -615,26 +533,8 @@ def test_scan_kernels_with_sparse_ids(name, width, inst, seeds):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(policies, "_ONE_CODE_POINT_ITEMS", limit)
         assert policies._encode(state.order)[1] == (width if n > 2 else 1)
-        for policy, seq, model in itertools.product(
-            rules, (explicit_sequence(requests), repeated), CostModel
-        ):
-            ledger = serve(policy, state, seq, model)
-            costs, final, after = fold_steps(policy, state, seq.requests, model)
-            if name == "fc" and policy.counters:
-                # reference.run starts frequency count from zero counters.
-                oracle_costs, trace, counters = fc_by_definition(state.order, policy.counters, seq.requests, model)
-                assert all(after.counter(item) == counters[item] for item in state.order)
-            else:
-                oracle_costs, trace = reference.run(name, list(state.order), list(seq.requests), model.value)
-            assert ledger.per_request == costs == tuple(oracle_costs)
-            assert ledger.grand_total == sum(costs)
-            assert ledger.final_state == final
-            assert final.order == (trace[-1] if trace else state.order)
-            if seq.block is not None:
-                assert ledger.pass_totals == tuple(
-                    sum(costs[start:start + n]) for start in range(0, len(costs), n)
-                )
-                assert [c.order for c in ledger.pass_end_configs] == trace[n - 1::n]
+        for policy, seq, model in itertools.product(rules, (explicit_sequence(requests), repeated), CostModel):
+            check_serve(policy, state, seq, model)
 
 
 @pytest.mark.parametrize("name", ["mtf", "fc"])
@@ -697,3 +597,45 @@ def test_equal_run_states_serve_alike(name, inst):
         assert [advance_1(item) for item in block] == [advance_2(item) for item in block]
         assert arrangement_1(state_1()) == arrangement_2(state_2())
         assert state_1() == state_2()
+
+
+def serve_battery():
+    """Fixed cases for ``check_serve``: (label, list, sequence). Each shape
+    is built over a shuffle of 1..7 and over seven sparse ids, six of them
+    above 256; one more case serves the empty list."""
+    rng = random.Random(0)
+    cases = []
+    for ids in (list(range(1, 8)), rng.sample(range(257, 10**9), 6) + [3]):
+        rng.shuffle(ids)
+        n, state = len(ids), ListState(tuple(ids))
+        stream = rng.choices(ids, range(n, 0, -1), k=SLICE + 5)
+        block = rng.choices(ids[1:], k=2 * n)  # items repeated, and ids[0] missing
+        cases += [
+            ("stream across a slice boundary", state, explicit_sequence(stream)),
+            ("repeated permutation", state, RequestSequence.repeat(rng.sample(ids, n), 3 * n)),
+            ("repeated block", state, RequestSequence.repeat(block, 9)),
+            ("head and cycle", state, RequestSequence(PeriodicView(ids[::-1], block[:5], n + 5 * 40 + 3))),
+            ("zero passes", state, RequestSequence.repeat(ids, 0)),
+        ]
+    return cases + [("empty list", ListState(()), explicit_sequence(()))]
+
+
+BATTERY_RULES = {
+    "mtf": lambda order: MoveToFront(),
+    "trans": lambda order: Transpose(),
+    "fc": lambda order: FrequencyCount(),
+    # Counters in no order along a shuffled list: an item can pass some
+    # smaller counters but not all.
+    "fc-seeded": lambda order: FrequencyCount({item: item % 4 for item in order}),
+}
+
+
+@pytest.mark.parametrize("rule", BATTERY_RULES)
+def test_serve_battery(rule):
+    # Seeded and hypothesis-free, so that a run shows the same cases every
+    # time: every serving shape against the whole contract, on both models.
+    for (label, state, seq), model in itertools.product(serve_battery(), CostModel):
+        try:
+            check_serve(BATTERY_RULES[rule](state.order), state, seq, model)
+        except AssertionError as failure:
+            raise AssertionError(f"{label}, {model.value} model over {state.order}") from failure

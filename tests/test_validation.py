@@ -183,6 +183,11 @@ HUGE_CALLS = {
                    ItemNotInListError),
     "step.item": (lambda: make_policy("mtf").step(ListState((1,)), HUGE), ItemNotInListError),
     "make_policy": (lambda: make_policy(HUGE), InvalidParameterError),
+    "CostModel.discount": (lambda: CostModel.discount(HUGE), InvalidParameterError),
+    "serve.model": (lambda: serve(make_policy("mtf"), ListState((1,)), explicit_sequence((1,)), HUGE),
+                    InvalidParameterError),
+    "step.model": (lambda: make_policy("trans").step(ListState((1,)), 1, HUGE), InvalidParameterError),
+    "verify_grid.model": (lambda: verify_grid(["mtf"], ["t1"], (1, 1), (1, 1), HUGE), InvalidParameterError),
 }
 
 
