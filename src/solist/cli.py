@@ -18,7 +18,7 @@ import signal
 import sys
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
 from .errors import Family, InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
@@ -28,6 +28,7 @@ __all__ = ["main", "run", "build_parser"]
 COMPARE_HEADER = "n,k,family,mtf_cost,trans_cost"
 VERIFY_HEADER = "algo,family,n,k,simulated,predicted,match"
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+_CHUNK = 1 << 12  # simulate reads, parses, checks and serves a sequence file this many bytes of whole lines at a time
 
 _GNUPLOT_TEMPLATE = """\
 # Plot total access cost against k from a compare CSV export.
@@ -105,12 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 file as str.splitlines() cuts them, read one physical line at a time."""
+def _file_chunks(path: str, size: int, parse: Callable[[str], list]) -> Iterator[list]:
+    """``parse`` of a UTF-8 file's text, about ``size`` bytes of whole lines at a time."""
     try:
         with open(path, "rb") as handle:
-            for number, raw in enumerate(handle, 1):  # utf-8-sig skips a byte-order mark on line 1
-                yield from raw.decode("utf-8-sig" if number == 1 else "utf-8").splitlines()
+            first = 1  # the number of the chunk's first line
+            for lines in iter(lambda: handle.readlines(size), []):
+                try:
+                    yield parse(b"".join(lines).decode("utf-8-sig" if first == 1 else "utf-8"))
+                except (UnicodeDecodeError, ParseError):  # again line by line: the lines before the error come first
+                    for number, line in enumerate(lines, first):  # utf-8-sig skips a byte-order mark on line 1
+                        yield from map(parse, line.decode("utf-8-sig" if number == 1 else "utf-8").splitlines())
+                first += len(lines)
     except OSError as exc:
         raise ParseError(f"cannot read input file: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -148,10 +155,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
         # in linear time. A run on files prints no number that long, so the limit stays.
         _set_digit_limit(args.digit_limit)
-        initial = _list_from_lines(_file_lines(args.list_file))
-        # Serve one line of requests at a time, keeping only the total: the first error in the file ends the run.
-        total = _serve_stream(make_policy(args.algo), initial, map(_checked, _line_ints(_file_lines(args.seq_file))),
-                              CostModel(args.model))
+        # 1-byte chunks end at the list's line, so the list file is read only up to its list.
+        initial = _list_from_lines(chain.from_iterable(_file_chunks(args.list_file, 1, str.splitlines)))
+        # Serve one chunk of requests at a time, keeping only the total: the first error in the file ends the run.
+        ints = _line_ints()
+        requests = _file_chunks(args.seq_file, _CHUNK, lambda text: _checked(ints(text)))
+        total = _serve_stream(make_policy(args.algo), initial, requests, CostModel(args.model))
         if args.per_pass:
             print("no pass structure declared for this sequence")
     print(f"total {total}")

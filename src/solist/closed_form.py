@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
 
-from .errors import Family, SolistError, by_value, check_int
+from .errors import Family, SolistError, by_value, check_int, member
 
 __all__ = [
     "Algorithm",
@@ -149,7 +149,7 @@ def trans_t2(n: int, k: int) -> Prediction:
 
 def predict(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> Prediction:
     """The closed form of (algorithm, family) at (n, k): what the matching evaluator above returns."""
-    return next(_totals(Algorithm(algorithm), Family(family), n, k, k))
+    return next(_totals(member(Algorithm, algorithm), member(Family, family), n, k, k))
 
 
 def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PeriodicView:
@@ -164,7 +164,7 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     pass costs the steady amount.
     """
     from .list_core import PeriodicView  # here, so that the closed forms load no simulation module
-    algorithm, family = Algorithm(algorithm), Family(family)
+    algorithm, family = member(Algorithm, algorithm), member(Family, family)
     check_int(n, "n")
     check_int(k, "k")
     *cases, steady = _pieces(algorithm, family, n)
@@ -218,7 +218,7 @@ def crossover(family: Family | str, n: int, k_max: int) -> int | None:
     steps per run, finds the first win; the same search from the next k
     finds any later loss.
     """
-    family = Family(family)
+    family = member(Family, family)
     check_int(k_max, "k_max")
     check_int(n, "n")
     trans, mtf = _pieces(Algorithm.TRANS, family, n), _pieces(Algorithm.MTF, family, n)

@@ -87,6 +87,11 @@ def by_value(kind: str) -> classmethod:
     return classmethod(lambda enum, name: choose(_members_by_value(enum), name, kind))
 
 
+def member(enum, value):
+    """``enum(value)``, refusing first a value that is neither a member nor a str: ``Enum`` cannot show a huge int."""
+    return enum(value) if isinstance(value, (enum, str)) else enum._missing_(value)
+
+
 @cache
 def _members_by_value(enum) -> dict:
     return {member.value.lower(): member for member in enum}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .closed_form import Algorithm, _totals, expected_pass_costs
-from .errors import Family, InvalidParameterError, check_int, check_range
+from .errors import Family, InvalidParameterError, check_int, check_range, member
 from .list_core import CostLedger, CostModel, ListState, PeriodicView
 from .policies import make_policy, serve
 from .seqgen import GENERATORS
@@ -96,8 +96,8 @@ def verify_grid(
 
 def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
     """``verify_grid``'s report, all checks made, with ``cells`` a generator that grades one row at a time."""
-    algorithms = tuple(dict.fromkeys(map(Algorithm, algorithms)))
-    families = tuple(dict.fromkeys(map(Family, families)))
+    algorithms = tuple(dict.fromkeys(member(Algorithm, name) for name in algorithms))
+    families = tuple(dict.fromkeys(member(Family, name) for name in families))
     if not algorithms or not families:
         raise InvalidParameterError("need at least one algorithm and one family")
     n_lo, n_hi = check_range(n_range, "n")
@@ -133,7 +133,7 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
 
 def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PassProfile:
     """Full-model per-pass costs and pass-end configurations."""
-    algorithm, family = Algorithm(algorithm), Family(family)
+    algorithm, family = member(Algorithm, algorithm), member(Family, family)
     check_int(k, "k")
     ledger = _simulate(algorithm, family, n, k, CostModel.FULL)
     return PassProfile(ledger.pass_totals, ledger.pass_end_configs)

@@ -11,7 +11,7 @@ sequences can be ingested from text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import Family, InvalidParameterError, ParseError, check_ids, check_int
 from .list_core import ListState, PeriodicView, as_view
@@ -93,11 +93,13 @@ GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
 
 # Text ingestion. Tokens are integers separated by whitespace or commas;
 # a '#' starts a comment that runs to the end of the line.
-_TABLE_IDS = 4096  # ids a line enters into the token table; past this size it starts over
+_TABLE_IDS = 4096  # ids a line or chunk enters into the token table; past this size it starts over
 
 
-def _tokens(line: str) -> list[str]:
-    return line.partition("#")[0].replace(",", " ").split()
+def _tokens(text: str) -> list[str]:
+    if "#" in text:  # a line or a chunk of lines: each comment runs to the end of its own line
+        text = " ".join(line.partition("#")[0] for line in text.splitlines())
+    return text.replace(",", " ").split()
 
 
 def _ints(tokens: list[str]) -> list[int]:
@@ -107,23 +109,26 @@ def _ints(tokens: list[str]) -> list[int]:
         return list(map(_parse_int, tokens))
 
 
-def _line_ints(lines: Iterable[str]) -> Iterator[list[int]]:
-    # One line's ints at a time. A line of known tokens shares the table's ints; any other line starts the table
-    # over if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
+def _line_ints() -> Callable[[str], list[int]]:
+    # A parser of a line's ints, or a chunk's, as one line. A line of known tokens shares the table's ints; any other
+    # line starts the table over if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
     known: dict[str, int] = {}
-    for line in lines:
+
+    def parse(line: str) -> list[int]:
         tokens = _tokens(line)
         found = list(map(known.get, tokens))
         if None in found:
             if found.count(None) == len(found) or len(known) > _TABLE_IDS:
-                known = {}
+                known.clear()
             found = _ints(tokens)
             found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
-        yield found
+        return found
+
+    return parse
 
 
 def _tokenize(text: str) -> list[int]:
-    return [value for values in _line_ints(text.splitlines()) for value in values]
+    return [value for values in map(_line_ints(), text.splitlines()) for value in values]
 
 
 def _checked(requests: list[int]) -> list[int]:

@@ -122,7 +122,7 @@ def test_a_huge_bad_token_is_quoted_short(capsys, tmp_path, bad_file):
 
 def test_simulate_holds_one_int_per_distinct_request(capsys, tmp_path):
     # 200k Zipf-like requests over 1000 ids. simulate reads the sequence
-    # file a line at a time, repeated ids share one int through the
+    # file a chunk of lines at a time, repeated ids share one int through the
     # parser's token table, and only a running total of the costs is kept.
     # Parsing every token to its own int and copying the list of costs
     # peaked near 12 MB.
@@ -228,8 +228,8 @@ def test_simulate_non_utf8_file_is_exit_3(tmp_path):
 
 @pytest.mark.parametrize("bad_file", ["list", "list on line 3", "sequence", "sequence past 64 KiB"])
 def test_simulate_non_utf8_file_is_exit_3_in_process(capsys, tmp_path, bad_file):
-    # Both files are decoded a line at a time, so the error names the line;
-    # the byte's position is within that line.
+    # A chunk that fails to decode is decoded again a line at a time, so the
+    # error names the line; the byte's position is within that line.
     list_file = tmp_path / "list.txt"
     seq_file = tmp_path / "seq.txt"
     before = {"list on line 3": b"# initial\n\n", "sequence past 64 KiB": b"1 2 3\n" * 20_000}.get(bad_file, b"")

@@ -1,19 +1,22 @@
-"""``simulate --list-file/--seq-file`` serves the sequence file one line at
-a time: its totals equal the naive oracle on files of every shape, the
-first error in file order ends the run before anything is printed, and
-its memory does not grow with the number of requests."""
+"""``simulate --list-file/--seq-file`` serves the sequence file about 4 KB
+of whole lines at a time: its totals equal the naive oracle on files of
+every shape, the first error in file order ends the run before anything
+is printed, at every chunk size, and its memory does not grow with the
+number of requests."""
 
 import io
 import random
 import tempfile
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solist import predict
+from solist import cli
 from solist.cli import main
 
 import reference
@@ -100,6 +103,102 @@ def test_the_list_file_is_read_up_to_its_list(capsys, tmp_path):
     assert (code, *capsys.readouterr()) == (0, "total 4\n", "")
 
 
+@pytest.mark.parametrize("chunk", [1, 6, cli._CHUNK])
+@pytest.mark.parametrize("text, error", [
+    ("9 1\nx\n", "request 0: item 9 is not in the list"),
+    ("1 x\n9\n", "expected an integer, got 'x'"),
+    ("1 2\n3 9\n0\n", "request 3: item 9 is not in the list"),
+    ("1 2\n0 9\n", "bad sequence file: each request must be a positive integer, got 0"),
+    ("3 1\r9\u2028x", "request 2: item 9 is not in the list"),
+], ids=["unknown-then-bad-token", "bad-token-then-unknown", "unknown-then-zero", "zero-then-unknown", "odd-breaks"])
+def test_the_first_error_in_file_order_ends_the_run_at_every_chunk_size(capsys, tmp_path, chunk, text, error):
+    # The first error test's cases, served a line at a time (chunk 1) and
+    # with the whole file in one chunk, where a bad token follows an
+    # unknown id in the same chunk, or precedes it.
+    list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
+    list_file.write_text("1 2 3\n")
+    seq_file.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        code = main(["simulate", "--algo", "fc", "--list-file", str(list_file), "--seq-file", str(seq_file)])
+    assert (code, *capsys.readouterr()) == (3, "", f"error: {error}\n")
+
+
+# Faults for a request file: an id not in the list, tokens that are not
+# requests, bytes that are not UTF-8, and a byte-order mark past the start
+# of the file, at the start of a line among them.
+FAULTS = [b"9", b"x", b"1.5", b"0", b"-3", b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", b"\n\xef\xbb\xbf"]
+
+
+@st.composite
+def faulty_files(draw):
+    """(initial order, sequence file bytes): lines of 0 to 30 requests for
+    ids 1..6, joined by the gaps, comments and breaks simulate must read
+    alike, with up to two faults put in among them: on their own, at the
+    start of a line, or run into a request."""
+    order = draw(st.permutations(range(1, 7)))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        tokens = draw(st.lists(st.sampled_from(order), max_size=30))
+        pieces += [draw(st.sampled_from(GAPS)).join(map(str, tokens)).encode(),
+                   draw(st.sampled_from([b"", b"# 9 x", b"#1 0,"])),
+                   draw(st.sampled_from(["\n", "\r", "\r\n", "\u2028", "\x0c"])).encode()]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        pieces.insert(draw(st.integers(min_value=0, max_value=len(pieces))), fault)
+    return order, (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + b"".join(pieces)
+
+
+def read_line_by_line(order, data, rule, model):
+    """simulate's (exit code, stdout, stderr) on ``data`` as its contract
+    states it: each \\n-ended line decoded, then each of the lines that
+    str.splitlines() cuts it into parsed, checked and served in turn, so
+    that the first error in file order ends the run."""
+    served = []
+    for number, raw in enumerate(io.BytesIO(data).readlines(), 1):
+        try:
+            text = raw.decode("utf-8-sig" if number == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            return 3, "", f"error: input file is not valid UTF-8: line {number}: {exc}\n"
+        for line in text.splitlines():
+            values = []
+            for token in line.split("#", 1)[0].replace(",", " ").split():
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    return 3, "", f"error: expected an integer, got {token!r}\n"
+            for value in values:
+                if value < 1:
+                    return 3, "", f"error: bad sequence file: each request must be a positive integer, got {value}\n"
+            for value in values:
+                if value not in order:
+                    return 3, "", f"error: request {len(served)}: item {value} is not in the list\n"
+                served.append(value)
+    return 0, f"total {sum(reference.run(rule, order, served, model)[0])}\n", ""
+
+
+@given(files=faulty_files(), rule=st.sampled_from(["mtf", "trans", "fc"]),
+       model=st.sampled_from(["full", "partial"]))
+@example(files=((1, 2, 3), b"1 2\n\xef\xbb\xbf3\n"), rule="mtf", model="full")  # a BOM that starts a later chunk
+@example(files=((1, 2, 3), b"3 9\n2 \xff 1\n"), rule="fc", model="full")  # an unknown id, then a bad byte
+@example(files=((1, 2, 3), b"1,2\r\n3 \xe2\x82"), rule="trans", model="partial")  # a cut-off last character
+@settings(max_examples=200, deadline=None)
+def test_every_chunk_size_reads_the_file_as_line_by_line(files, rule, model):
+    # A chunk is one line or the next few (1 byte), a few lines (a few
+    # tens of bytes) or the whole file (the default): each reads the file
+    # exactly as one line at a time does.
+    order, data = files
+    expected = read_line_by_line(order, data, rule, model)
+    with tempfile.TemporaryDirectory() as directory:
+        list_file, seq_file = Path(directory, "list.txt"), Path(directory, "seq.txt")
+        list_file.write_text(" ".join(map(str, order)) + "\n")
+        seq_file.write_bytes(data)
+        for chunk in (1, 24, 70, cli._CHUNK):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(cli, "_CHUNK", chunk), redirect_stdout(out), redirect_stderr(err):
+                code = main(["simulate", "--algo", rule, "--model", model, "--list-file", str(list_file),
+                             "--seq-file", str(seq_file)])
+            assert (code, out.getvalue(), err.getvalue()) == expected, chunk
+
+
 @given(order=st.permutations(range(1, 7)), requests=st.lists(st.integers(min_value=1, max_value=6), max_size=40))
 def test_the_fast_transpose_walk_equals_the_reference(order, requests):
     # The oracle that totals the large files below keeps a position dict.
@@ -108,8 +207,8 @@ def test_the_fast_transpose_walk_equals_the_reference(order, requests):
 
 def test_simulate_on_files_holds_one_line_at_a_time(capsys, tmp_path):
     # Holding the file text, the parsed requests and a cost per request
-    # peaked near 6 MB here; one line at a time holds the list, its kernel
-    # and the token table: about 0.3 MB.
+    # peaked near 6 MB here; a chunk of lines at a time holds the list, its
+    # kernel, the token table and one chunk's requests: about 0.4 MB.
     list_file, seq_file, total = zipf_files(tmp_path, 200_000, seed=5)
     tracemalloc.start()
     try:
@@ -125,7 +224,7 @@ def test_simulate_on_files_holds_one_line_at_a_time(capsys, tmp_path):
 def test_two_million_requests_are_served_in_bounded_address_space(tmp_path):
     # 2000 descending scans of 1000 items, 20 requests a line: transpose on
     # T2, whose total the paper's closed form gives. The limit leaves room
-    # for the interpreter, the CLI's modules and one line of requests (the
+    # for the interpreter, the CLI's modules and one chunk of requests (the
     # child runs in 24 MB), but not for the file text, a parsed request and
     # a cost per request of two million: holding them fails even in 128 MB.
     # One case only: the child runs alone under its limit, never beside another.

@@ -188,6 +188,13 @@ HUGE_CALLS = {
                     InvalidParameterError),
     "step.model": (lambda: make_policy("trans").step(ListState((1,)), 1, HUGE), InvalidParameterError),
     "verify_grid.model": (lambda: verify_grid(["mtf"], ["t1"], (1, 1), (1, 1), HUGE), InvalidParameterError),
+    "predict.algorithm": (lambda: predict(HUGE, "t1", 3, 3), InvalidParameterError),
+    "predict.family": (lambda: predict("mtf", HUGE, 3, 3), InvalidParameterError),
+    "expected_pass_costs.algorithm": (lambda: expected_pass_costs(HUGE, "T1", 3, 3), InvalidParameterError),
+    "crossover.family": (lambda: crossover(HUGE, 3, 5), InvalidParameterError),
+    "verify_grid.algorithm": (lambda: verify_grid([HUGE], ["T1"], (1, 2), (1, 2)), InvalidParameterError),
+    "verify_grid.family": (lambda: verify_grid(["mtf"], [HUGE], (1, 2), (1, 2)), InvalidParameterError),
+    "per_pass_profile.algorithm": (lambda: per_pass_profile(HUGE, "T1", 3, 3), InvalidParameterError),
 }
 
 
