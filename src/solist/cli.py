@@ -127,7 +127,7 @@ def _file_chunks(path: str, size: int, parse: Callable[[str], list]) -> Iterator
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
     from .policies import _serve_stream, make_policy, serve
-    from .seqgen import GENERATORS, _checked, _line_ints, _list_from_lines
+    from .seqgen import GENERATORS, _line_ints, _list_from_lines
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -141,13 +141,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sequence = GENERATORS[Family(args.seq)](args.n, args.k)
         ledger = serve(make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model))
         if args.per_pass:
-            # Repeating passes share their snapshot objects: format each once.
-            formatted: dict[int, str] = {}
-            for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
-                items = formatted.get(id(config))
-                if items is None:
-                    items = formatted[id(config)] = " ".join(map(str, config.order))
-                print(f"pass {index} cost {cost} config {items}")
+            def passes() -> Iterator[str]:
+                formatted: dict[int, str] = {}  # repeating passes share their snapshot objects: format each once
+                for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
+                    items = formatted.get(id(config))
+                    if items is None:
+                        items = formatted[id(config)] = " ".join(map(str, config.order))
+                    yield f"pass {index} cost {cost} config {items}"
+
+            _emit(passes(), None)
         total = ledger.grand_total
     else:
         if args.list_file is None or args.seq_file is None:
@@ -158,8 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # 1-byte chunks end at the list's line, so the list file is read only up to its list.
         initial = _list_from_lines(chain.from_iterable(_file_chunks(args.list_file, 1, str.splitlines)))
         # Serve one chunk of requests at a time, keeping only the total: the first error in the file ends the run.
-        ints = _line_ints()
-        requests = _file_chunks(args.seq_file, _CHUNK, lambda text: _checked(ints(text)))
+        requests = _file_chunks(args.seq_file, _CHUNK, _line_ints())
         total = _serve_stream(make_policy(args.algo), initial, requests, CostModel(args.model))
         if args.per_pass:
             print("no pass structure declared for this sequence")

@@ -29,13 +29,15 @@ __all__ = [
 ]
 
 # A run of a rule owns its working arrangement. ``_start_run`` returns
-#   advance(item) -> the item's 1-based position before the access, after
-#       which the rule has reorganized the arrangement;
+#   advance(block, costs, first) -> serves the requests of ``block`` in
+#       turn, appending to ``costs`` each one's position before its access,
+#       counting the front as ``first``; the rule reorganizes after each;
 #   state() -> the run's exact state, hashable: two runs from one initial
 #       list in equal states serve every later request alike;
 #   arrangement(state) -> that state's arrangement, as a tuple of items.
-# An item not in the list makes advance raise KeyError.
-_Run = tuple[Callable[[int], int], Callable[[], Hashable], Callable[[Hashable], tuple]]
+# An item not in the list makes advance raise KeyError, with ``costs``
+# holding the costs of the requests before it; the run is then spent.
+_Run = tuple[Callable[[Sequence[int], list, int], None], Callable[[], Hashable], Callable[[Hashable], tuple]]
 
 # Move-to-front and frequency count hold the arrangement as a str in which
 # each item is a token: chr(its index in the initial order). Finding an
@@ -90,13 +92,14 @@ class Policy:
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
         check_ids((item,), "each request")
-        discount = CostModel.discount(model)
+        first = 1 - CostModel.discount(model)
         advance, run_state, arrangement = self._start_run(state)
+        costs: list[int] = []
         try:
-            pos = advance(item)
+            advance((item,), costs, first)
         except KeyError:
             raise ItemNotInListError(item) from None
-        return AccessOutcome(pos - discount, ListState._unchecked(arrangement(run_state())), self._after(item))
+        return AccessOutcome(costs[0], ListState._unchecked(arrangement(run_state())), self._after(item))
 
     def _start_run(self, initial: ListState) -> _Run:
         raise NotImplementedError
@@ -118,13 +121,15 @@ class MoveToFront(Policy):
         token_of, width, decode = _encode(initial.order)
         s = "".join(token_of.values())
 
-        def advance(item: int) -> int:
+        def advance(block: Sequence[int], costs: list, first: int) -> None:
             nonlocal s
-            token = token_of[item]
-            at = s.find(token)
-            if at:
-                s = token + s[:at] + s[at + width:]
-            return at // width + 1
+            arranged, append = s, costs.append
+            for token in map(token_of.__getitem__, block):
+                at = arranged.find(token)
+                if at:
+                    arranged = token + arranged[:at] + arranged[at + width:]
+                append(at // width + first)
+            s = arranged
 
         return advance, lambda: s, decode
 
@@ -142,15 +147,17 @@ class Transpose(Policy):
         order = list(initial.order)
         where = {member: index for index, member in enumerate(order)}
 
-        def advance(item: int) -> int:
-            pos = where[item]
-            if pos:
-                ahead = order[pos - 1]
-                order[pos - 1] = item
-                order[pos] = ahead
-                where[item] = pos - 1
-                where[ahead] = pos
-            return pos + 1
+        def advance(block: Sequence[int], costs: list, first: int) -> None:
+            append = costs.append
+            for item in block:
+                pos = where[item]
+                if pos:
+                    ahead = order[pos - 1]
+                    order[pos - 1] = item
+                    order[pos] = ahead
+                    where[item] = pos - 1
+                    where[ahead] = pos
+                append(pos + first)
 
         return advance, lambda: tuple(order), tuple
 
@@ -195,23 +202,25 @@ class FrequencyCount(Policy):
         s = "".join(token_of.values())
         along = [self.counters.get(item, 0) for item in initial.order]
 
-        def advance(item: int) -> int:
+        def advance(block: Sequence[int], costs: list, first: int) -> None:
             nonlocal s
-            token = token_of[item]
-            at = s.find(token)
-            pos = at // width
-            c = along[pos] + 1
-            dest = pos
-            while dest and along[dest - 1] < c:
-                dest -= 1
-            if dest == pos:
-                along[pos] = c
-            else:
-                del along[pos]
-                along.insert(dest, c)
-                cut = dest * width
-                s = s[:cut] + token + s[cut:at] + s[at + width:]
-            return pos + 1
+            arranged, append = s, costs.append
+            for token in map(token_of.__getitem__, block):
+                at = arranged.find(token)
+                pos = at // width
+                c = along[pos] + 1
+                dest = pos
+                while dest and along[dest - 1] < c:
+                    dest -= 1
+                if dest == pos:
+                    along[pos] = c
+                else:
+                    del along[pos]
+                    along.insert(dest, c)
+                    cut = dest * width
+                    arranged = arranged[:cut] + token + arranged[cut:at] + arranged[at + width:]
+                append(pos + first)
+            s = arranged
 
         def state() -> tuple[str, tuple[int, ...]]:
             low = min(along, default=0)  # the rule only compares counters: a common offset changes nothing
@@ -232,14 +241,14 @@ def make_policy(name: str) -> Policy:
     return choose(_FACTORIES, name, "policy")()
 
 
-def _costs(advance: Callable[[int], int], discount: int, blocks: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+def _costs(advance: Callable, first: int, blocks: Iterable[Sequence[int]]) -> Iterator[list[int]]:
     """The one request-to-cost step: the costs of each of ``blocks`` in turn, requests counted from the first block."""
     served = 0
     for block in blocks:
         costs: list[int] = []
         try:
-            costs += map(discount.__rsub__, map(advance, block)) if discount else map(advance, block)
-        except KeyError:  # += keeps the costs it appended before the error
+            advance(block, costs, first)
+        except KeyError:  # advance keeps the costs it appended before the error
             raise ItemNotInListError(block[len(costs)], request_index=served + len(costs)) from None
         served += len(block)
         yield costs
@@ -247,9 +256,8 @@ def _costs(advance: Callable[[int], int], discount: int, blocks: Iterable[Sequen
 
 def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
     """The total cost of serving ``blocks`` one after another, holding one block's costs at a time."""
-    discount = CostModel.discount(model)
     advance = policy._start_run(initial)[0]
-    return sum(map(sum, _costs(advance, discount, blocks)))
+    return sum(map(sum, _costs(advance, 1 - CostModel.discount(model), blocks)))
 
 
 def serve(
@@ -274,14 +282,14 @@ def serve(
     hold the passes before that cycle and one copy of it, and read as the
     same ledger, request for request, at any number of passes.
     """
-    discount = CostModel.discount(model)
+    first = 1 - CostModel.discount(model)
     advance, state, arrangement = policy._start_run(initial)
     from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
     per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     block = sequence.block
     if block is None:
         requests = iter(sequence.requests)
-        for costs in _costs(advance, discount, iter(lambda: tuple(islice(requests, _SLICE)), ())):
+        for costs in _costs(advance, first, iter(lambda: tuple(islice(requests, _SLICE)), ())):
             per_request.fromlist(costs)
         return CostLedger(PeriodicView(per_request), ListState._unchecked(arrangement(state())))
     num_passes = len(sequence) // len(block)
@@ -290,7 +298,7 @@ def serve(
     pass_configs: list[ListState] = []
     # From pass cycle_start on, the stored passes repeat as one cycle.
     cycle_start = num_passes
-    for costs in _costs(advance, discount, repeat(block, num_passes)):
+    for costs in _costs(advance, first, repeat(block, num_passes)):
         per_request.fromlist(costs)
         pass_totals.append(sum(costs))
         del costs  # so that two passes' costs are never held at once

@@ -110,18 +110,20 @@ def _ints(tokens: list[str]) -> list[int]:
 
 
 def _line_ints() -> Callable[[str], list[int]]:
-    # A parser of a line's ints, or a chunk's, as one line. A line of known tokens shares the table's ints; any other
-    # line starts the table over if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
+    # A parser of a line's checked ids, or a chunk's, as one line. The table maps tokens only to checked ids, so a line
+    # of known tokens shares the table's ints. Any other line is parsed and checked first; then it starts the table over
+    # if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
     known: dict[str, int] = {}
 
     def parse(line: str) -> list[int]:
         tokens = _tokens(line)
-        found = list(map(known.get, tokens))
-        if None in found:
-            if found.count(None) == len(found) or len(known) > _TABLE_IDS:
-                known.clear()
-            found = _ints(tokens)
-            found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
+        try:
+            return list(map(known.__getitem__, tokens))
+        except KeyError:
+            found = _checked(_ints(tokens))
+        if known.keys().isdisjoint(tokens) or len(known) > _TABLE_IDS:
+            known.clear()
+        found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
         return found
 
     return parse
@@ -166,5 +168,6 @@ def _list_from_lines(lines: Iterable[str]) -> ListState:
 
 
 def parse_sequence_file(text: str) -> RequestSequence:
-    """Parse a request stream: every token in the file is one request."""
-    return explicit_sequence(_checked(_tokenize(text)))
+    """Parse a request stream: every token in the file is one request.
+    Each line is parsed, then checked, before the next, so the error raised is the first in file order."""
+    return explicit_sequence(_tokenize(text))

@@ -576,8 +576,7 @@ def test_equal_run_states_serve_alike(name, inst):
     runs, expected = [], []
     for prefix in prefixes:
         advance, run_state, arrangement = run = policy._start_run(state)
-        for item in prefix:
-            advance(item)
+        advance(prefix, [], 1)
         if name == "fc":
             _, trace, after = fc_by_definition(state.order, policy.counters, prefix, CostModel.FULL)
             counts = [after.get(item, 0) for item in state.order]
@@ -594,7 +593,11 @@ def test_equal_run_states_serve_alike(name, inst):
     assert equal == (expected[0] == expected[1])
     if equal:
         assert hash(state_1()) == hash(state_2())
-        assert [advance_1(item) for item in block] == [advance_2(item) for item in block]
+        costs_1, costs_2 = [], []
+        for item in block:  # one request per call, against the whole block in one call
+            advance_1((item,), costs_1, 1)
+        advance_2(block, costs_2, 1)
+        assert costs_1 == costs_2
         assert arrangement_1(state_1()) == arrangement_2(state_2())
         assert state_1() == state_2()
 

@@ -8,6 +8,7 @@ import io
 import random
 import tempfile
 import tracemalloc
+from itertools import product
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from solist import predict
+from solist import ParseError, parse_sequence_file, predict
 from solist import cli
 from solist.cli import main
 
@@ -127,6 +128,27 @@ def test_the_first_error_in_file_order_ends_the_run_at_every_chunk_size(capsys, 
 # requests, bytes that are not UTF-8, and a byte-order mark past the start
 # of the file, at the start of a line among them.
 FAULTS = [b"9", b"x", b"1.5", b"0", b"-3", b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", b"\n\xef\xbb\xbf"]
+
+
+TEXT_FAULTS = [text for text in (fault.decode(errors="replace") for fault in FAULTS) if "\ufffd" not in text]
+
+
+@pytest.mark.parametrize("text", ["0\nx\n", "x\n0\n"] + [f"1 {a}\n{b} 2\n" for a, b in product(TEXT_FAULTS, repeat=2)])
+def test_the_library_and_simulate_name_the_same_first_error(capsys, tmp_path, text):
+    # The faults that are UTF-8, two by two on two lines: parse_sequence_file
+    # and simulate both stop at the first error in file order. Item 9 is in
+    # the list here, so it is no fault.
+    list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
+    list_file.write_text("1 2 9\n")
+    seq_file.write_text(text, encoding="utf-8", newline="")
+    code = main(["simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file)])
+    out, err = capsys.readouterr()
+    try:
+        parse_sequence_file(text)
+    except ParseError as exc:
+        assert (code, out, err) == (3, "", f"error: {exc}\n")
+    else:
+        assert (code, err) == (0, "")
 
 
 @st.composite

@@ -251,7 +251,7 @@ def test_family_values_round_trip():
 
 def tokenize_line_by_line(text):
     # Reference tokenizer: every line on its own, its comment cut off,
-    # each token converted and checked in turn.
+    # each token converted in turn, then each of the line's values checked.
     values = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -260,6 +260,9 @@ def tokenize_line_by_line(text):
                 values.append(int(token))
             except ValueError:
                 raise ParseError(f"expected an integer, got {token!r}") from None
+        for value in values:
+            if value < 1:
+                raise ParseError(f"bad sequence file: each request must be a positive integer, got {value}")
     return values
 
 
@@ -291,3 +294,12 @@ def test_tokenize_with_a_two_id_table_matches_line_by_line(pieces):
     # and a line with a new token starts the table over once it holds more than two.
     with mock.patch.object(seqgen, "_TABLE_IDS", 2):
         test_tokenize_matches_line_by_line.hypothesis.inner_test(pieces)
+
+
+def test_a_parser_checks_a_line_each_time_it_reads_it():
+    # The table enters only checked ids: a line that failed its check
+    # fails it again, rather than being read from the table.
+    parse = seqgen._line_ints()
+    for _ in range(2):
+        with pytest.raises(ParseError, match="positive integer, got 0"):
+            parse("5 0")
