@@ -18,7 +18,7 @@ import signal
 import sys
 from collections import Counter
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
 from .errors import Family, InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
@@ -28,7 +28,6 @@ __all__ = ["main", "run", "build_parser"]
 COMPARE_HEADER = "n,k,family,mtf_cost,trans_cost"
 VERIFY_HEADER = "algo,family,n,k,simulated,predicted,match"
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-_CHUNK = 1 << 12  # simulate reads, parses, checks and serves a sequence file this many bytes of whole lines at a time
 
 _GNUPLOT_TEMPLATE = """\
 # Plot total access cost against k from a compare CSV export.
@@ -106,28 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_chunks(path: str, size: int, parse: Callable[[str], list]) -> Iterator[list]:
-    """``parse`` of a UTF-8 file's text, about ``size`` bytes of whole lines at a time."""
-    try:
-        with open(path, "rb") as handle:
-            first = 1  # the number of the chunk's first line
-            for lines in iter(lambda: handle.readlines(size), []):
-                try:
-                    yield parse(b"".join(lines).decode("utf-8-sig" if first == 1 else "utf-8"))
-                except (UnicodeDecodeError, ParseError):  # again line by line: the lines before the error come first
-                    for number, line in enumerate(lines, first):  # utf-8-sig skips a byte-order mark on line 1
-                        yield from map(parse, line.decode("utf-8-sig" if number == 1 else "utf-8").splitlines())
-                first += len(lines)
-    except OSError as exc:
-        raise ParseError(f"cannot read input file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input file is not valid UTF-8: line {number}: {exc}") from None
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
     from .policies import _serve_stream, make_policy, serve
-    from .seqgen import GENERATORS, _line_ints, _list_from_lines
+    from .seqgen import GENERATORS, _read_list, _read_requests
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -157,11 +138,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # Read files as argv is read, under the digit limit, so that a huge token is a ParseError found
         # in linear time. A run on files prints no number that long, so the limit stays.
         _set_digit_limit(args.digit_limit)
-        # 1-byte chunks end at the list's line, so the list file is read only up to its list.
-        initial = _list_from_lines(chain.from_iterable(_file_chunks(args.list_file, 1, str.splitlines)))
-        # Serve one chunk of requests at a time, keeping only the total: the first error in the file ends the run.
-        requests = _file_chunks(args.seq_file, _CHUNK, _line_ints())
-        total = _serve_stream(make_policy(args.algo), initial, requests, CostModel(args.model))
+        try:
+            with open(args.list_file, "rb") as handle:
+                initial = _read_list(handle)
+            # Serve one chunk of requests at a time, keeping only the total: the first error in the file ends the run.
+            with open(args.seq_file, "rb") as handle:
+                total = _serve_stream(make_policy(args.algo), initial, _read_requests(handle), CostModel(args.model))
+        except OSError as exc:
+            raise ParseError(f"cannot read input file: {exc}") from None
         if args.per_pass:
             print("no pass structure declared for this sequence")
     print(f"total {total}")

@@ -106,6 +106,7 @@ class PeriodicView(Sequence):
     def __init__(self, head: Sequence = (), cycle: Sequence = (), length: int | None = None) -> None:
         if length is None:
             length = len(head)
+        check_int(length, "sequence length", minimum=0)
         if length < len(head) or (length > len(head) and not cycle):
             raise InvalidParameterError(
                 f"cannot make {shown(length)} elements from a head of {len(head)} and a cycle of {len(cycle)}"
@@ -219,8 +220,8 @@ class CostLedger:
             values = getattr(self, name)
             if values is not None:
                 object.__setattr__(self, name, as_view(values))
-        if min(self.per_request.stored(), default=0) < 0:
-            raise InvalidParameterError("per-request costs must be nonnegative")
+        if not set(map(type, self.per_request.stored())) <= {int} or min(self.per_request.stored(), default=0) < 0:
+            raise InvalidParameterError("per-request costs must be nonnegative integers")
         if self.pass_totals is not None and self.pass_totals.total() != self.grand_total:
             raise InvalidParameterError(
                 f"pass totals sum to {self.pass_totals.total()}, "

@@ -304,9 +304,9 @@ def serve(
         del costs  # so that two passes' costs are never held at once
         key = state()
         pass_configs.append(ListState._unchecked(arrangement(key)))  # from the key: trans stores one tuple
-        first = seen.setdefault(key, len(seen))
+        start = seen.setdefault(key, len(seen))
         if len(seen) < len(pass_configs):  # an earlier pass ended in this state
-            cycle_start = first + 1
+            cycle_start = start + 1
             break
 
     # The views keep these sequences: nothing else holds them.

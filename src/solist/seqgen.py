@@ -4,14 +4,18 @@ The two generated families repeat one fixed permutation of the list k
 times: t1 repeats the list's own order (an ascending scan), t2 repeats
 the reversed order (a descending scan). Both are deliberately free of
 locality of reference: within a pass every item is requested exactly
-once. ``RequestSequence.repeat`` repeats any block, and explicit
-sequences can be ingested from text.
+once. ``RequestSequence.repeat`` repeats any block. Explicit sequences
+and lists are read from text by one reader, which ``simulate`` runs on
+its files: the library reads a text exactly as a file of its UTF-8 bytes,
+so a leading byte-order mark is skipped and a lone surrogate is not UTF-8.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import Family, InvalidParameterError, ParseError, check_ids, check_int
 from .list_core import ListState, PeriodicView, as_view
@@ -94,6 +98,22 @@ GENERATORS: dict[Family, Callable[[int, int], RequestSequence]] = {
 # Text ingestion. Tokens are integers separated by whitespace or commas;
 # a '#' starts a comment that runs to the end of the line.
 _TABLE_IDS = 4096  # ids a line or chunk enters into the token table; past this size it starts over
+_CHUNK = 1 << 12  # request text is read, parsed and checked this many bytes of whole lines at a time
+
+
+def _chunks(stream: BinaryIO, size: int, parse: Callable[[str], list]) -> Iterator[list]:
+    """``parse`` of a UTF-8 stream's text, about ``size`` bytes of whole lines at a time."""
+    try:
+        first = 1  # the number of the chunk's first line
+        for lines in iter(lambda: stream.readlines(size), []):
+            try:
+                yield parse(b"".join(lines).decode("utf-8-sig" if first == 1 else "utf-8"))
+            except (UnicodeDecodeError, ParseError):  # again line by line: the lines before the error come first
+                for number, line in enumerate(lines, first):  # utf-8-sig skips a byte-order mark on line 1
+                    yield from map(parse, line.decode("utf-8-sig" if number == 1 else "utf-8").splitlines())
+            first += len(lines)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file is not valid UTF-8: line {number}: {exc}") from None
 
 
 def _tokens(text: str) -> list[str]:
@@ -109,10 +129,10 @@ def _ints(tokens: list[str]) -> list[int]:
         return list(map(_parse_int, tokens))
 
 
-def _line_ints() -> Callable[[str], list[int]]:
-    # A parser of a line's checked ids, or a chunk's, as one line. The table maps tokens only to checked ids, so a line
-    # of known tokens shares the table's ints. Any other line is parsed and checked first; then it starts the table over
-    # if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
+def _read_requests(stream: BinaryIO) -> Iterator[list[int]]:
+    # A stream's checked ids, a chunk at a time, each chunk parsed as one line. The table maps tokens only to checked
+    # ids, so a chunk of known tokens shares the table's ints. Any other chunk is parsed and checked first; then it
+    # starts the table over if it has no known token or the table is full, and enters at most _TABLE_IDS tokens.
     known: dict[str, int] = {}
 
     def parse(line: str) -> list[int]:
@@ -126,11 +146,7 @@ def _line_ints() -> Callable[[str], list[int]]:
         found[:_TABLE_IDS] = map(known.setdefault, tokens[:_TABLE_IDS], found)
         return found
 
-    return parse
-
-
-def _tokenize(text: str) -> list[int]:
-    return [value for values in map(_line_ints(), text.splitlines()) for value in values]
+    return _chunks(stream, _CHUNK, parse)
 
 
 def _checked(requests: list[int]) -> list[int]:
@@ -151,23 +167,24 @@ def _parse_int(token: str) -> int:
         raise ParseError(f"expected an integer, got {shown}") from None
 
 
-def parse_list_file(text: str) -> ListState:
-    """Parse an initial list: the first line that holds an item is the list."""
-    return _list_from_lines(text.splitlines())
-
-
-def _list_from_lines(lines: Iterable[str]) -> ListState:
-    tokens = next(filter(None, map(_tokens, lines)), None)
+def _read_list(stream: BinaryIO) -> ListState:
+    # A line per chunk, so the stream is read only up to its list. Plain ints: list ids are distinct and share nothing.
+    tokens = next(filter(None, map(_tokens, chain.from_iterable(_chunks(stream, 1, str.splitlines)))), None)
     if tokens is None:
         raise ParseError("list file has no items")
     try:
-        # Plain int: list ids are distinct, so there is nothing to share.
         return ListState(tuple(_ints(tokens)))
     except InvalidParameterError as exc:
         raise ParseError(f"bad list file: {exc}") from None
 
 
+def parse_list_file(text: str) -> ListState:
+    """Parse an initial list, as ``simulate`` reads a list file: the first line that holds an item is the list."""
+    return _read_list(io.BytesIO(text.encode("utf-8", "surrogatepass")))
+
+
 def parse_sequence_file(text: str) -> RequestSequence:
-    """Parse a request stream: every token in the file is one request.
-    Each line is parsed, then checked, before the next, so the error raised is the first in file order."""
-    return explicit_sequence(_tokenize(text))
+    """Parse a request stream, as ``simulate`` reads a sequence file: every token in the text is one request.
+    The text is parsed and checked a chunk of lines at a time, so the error raised is the first in text order."""
+    requests = _read_requests(io.BytesIO(text.encode("utf-8", "surrogatepass")))
+    return explicit_sequence(chain.from_iterable(requests))

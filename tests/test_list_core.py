@@ -151,6 +151,16 @@ def test_ledger_rejects_negative_costs_in_the_cycle():
         )
 
 
+@pytest.mark.parametrize("costs", [(1.5,), ("a",), (2, True), (None,)], ids=repr)
+def test_ledger_rejects_costs_that_are_not_ints(costs):
+    # A float would make a float total, a str or None would fail in min
+    # with a bare TypeError, and a bool is not a cost.
+    with pytest.raises(InvalidParameterError, match="per-request costs must be nonnegative integers"):
+        CostLedger(per_request=costs, final_state=ListState((1,)))
+    with pytest.raises(InvalidParameterError, match="per-request costs must be nonnegative integers"):
+        CostLedger(per_request=PeriodicView((1,), costs, 7), final_state=ListState((1,)))
+
+
 @st.composite
 def views(draw):
     head = tuple(draw(st.lists(st.integers(0, 3), max_size=5)))
@@ -285,3 +295,8 @@ def test_periodic_view_rejects_impossible_shapes():
         PeriodicView((1, 2), (3,), 1)
     with pytest.raises(InvalidParameterError):
         PeriodicView((), (1,), 2**63)
+    # A float length made len() raise a bare TypeError later; True made a view of one element.
+    with pytest.raises(InvalidParameterError, match="sequence length must be a nonnegative integer, got 2.0"):
+        PeriodicView((1, 2), (), 2.0)
+    with pytest.raises(InvalidParameterError, match="sequence length must be a nonnegative integer, got True"):
+        PeriodicView((1,), (2,), True)

@@ -16,8 +16,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from solist import ParseError, parse_sequence_file, predict
-from solist import cli
+from solist import ItemNotInListError, ParseError, make_policy, parse_list_file, parse_sequence_file, predict, serve
+from solist import seqgen
 from solist.cli import main
 
 import reference
@@ -104,7 +104,7 @@ def test_the_list_file_is_read_up_to_its_list(capsys, tmp_path):
     assert (code, *capsys.readouterr()) == (0, "total 4\n", "")
 
 
-@pytest.mark.parametrize("chunk", [1, 6, cli._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 6, seqgen._CHUNK])
 @pytest.mark.parametrize("text, error", [
     ("9 1\nx\n", "request 0: item 9 is not in the list"),
     ("1 x\n9\n", "expected an integer, got 'x'"),
@@ -119,7 +119,7 @@ def test_the_first_error_in_file_order_ends_the_run_at_every_chunk_size(capsys, 
     list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
     list_file.write_text("1 2 3\n")
     seq_file.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(cli, "_CHUNK", chunk):
+    with mock.patch.object(seqgen, "_CHUNK", chunk):
         code = main(["simulate", "--algo", "fc", "--list-file", str(list_file), "--seq-file", str(seq_file)])
     assert (code, *capsys.readouterr()) == (3, "", f"error: {error}\n")
 
@@ -128,73 +128,102 @@ def test_the_first_error_in_file_order_ends_the_run_at_every_chunk_size(capsys, 
 # requests, bytes that are not UTF-8, and a byte-order mark past the start
 # of the file, at the start of a line among them.
 FAULTS = [b"9", b"x", b"1.5", b"0", b"-3", b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", b"\n\xef\xbb\xbf"]
+# Tokens that int() reads, or nearly does: a signed id, a grouped one, a non-ASCII digit, two signs.
+EDGE_TOKENS = [b"+7", b"1_000", "\u0663".encode(), b"--2"]
 
 
 TEXT_FAULTS = [text for text in (fault.decode(errors="replace") for fault in FAULTS) if "\ufffd" not in text]
+# A byte-order mark, and a lone surrogate in a token and in a comment, which a file holds as bytes that are not UTF-8.
+MARK_TEXTS = ["\ufeff1 2", "1 2\n2\ud800 1\n", "1 2 # \udc80\n9\n"]
+LIST_TEXTS = {"\ufeff1 2": "\ufeff3 1 2"}  # the list a text is served from, where it is not "1 2 9\n"
 
 
-@pytest.mark.parametrize("text", ["0\nx\n", "x\n0\n"] + [f"1 {a}\n{b} 2\n" for a, b in product(TEXT_FAULTS, repeat=2)])
+def _library_run(list_text, text):
+    """What simulate prints for these files, as the library reaches it: both parsed whole, then served."""
+    try:
+        total = serve(make_policy("mtf"), parse_list_file(list_text), parse_sequence_file(text)).grand_total
+    except (ParseError, ItemNotInListError) as exc:
+        return 3, "", f"error: {exc}\n"
+    return 0, f"total {total}\n", ""
+
+
+@pytest.mark.parametrize("text", ["0\nx\n", "x\n0\n"] + [f"1 {a}\n{b} 2\n" for a, b in product(TEXT_FAULTS, repeat=2)]
+                         + MARK_TEXTS)
 def test_the_library_and_simulate_name_the_same_first_error(capsys, tmp_path, text):
     # The faults that are UTF-8, two by two on two lines: parse_sequence_file
     # and simulate both stop at the first error in file order. Item 9 is in
-    # the list here, so it is no fault.
+    # the list here, so it is no fault, and no id is unknown: reading the
+    # sequence whole before serving it ends as serving it a chunk at a time.
+    list_text = LIST_TEXTS.get(text, "1 2 9\n")
     list_file, seq_file = tmp_path / "list.txt", tmp_path / "seq.txt"
-    list_file.write_text("1 2 9\n")
-    seq_file.write_text(text, encoding="utf-8", newline="")
+    list_file.write_text(list_text, encoding="utf-8", newline="")
+    seq_file.write_text(text, encoding="utf-8", errors="surrogatepass", newline="")
     code = main(["simulate", "--algo", "mtf", "--list-file", str(list_file), "--seq-file", str(seq_file)])
-    out, err = capsys.readouterr()
-    try:
-        parse_sequence_file(text)
-    except ParseError as exc:
-        assert (code, out, err) == (3, "", f"error: {exc}\n")
-    else:
-        assert (code, err) == (0, "")
+    assert (code, *capsys.readouterr()) == _library_run(list_text, text)
 
 
 @st.composite
 def faulty_files(draw):
     """(initial order, sequence file bytes): lines of 0 to 30 requests for
     ids 1..6, joined by the gaps, comments and breaks simulate must read
-    alike, with up to two faults put in among them: on their own, at the
-    start of a line, or run into a request."""
+    alike, with up to two faults or edge tokens put in among them: on their
+    own, at the start of a line, or run into a request."""
     order = draw(st.permutations(range(1, 7)))
     pieces = []
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         tokens = draw(st.lists(st.sampled_from(order), max_size=30))
         pieces += [draw(st.sampled_from(GAPS)).join(map(str, tokens)).encode(),
                    draw(st.sampled_from([b"", b"# 9 x", b"#1 0,"])),
-                   draw(st.sampled_from(["\n", "\r", "\r\n", "\u2028", "\x0c"])).encode()]
-    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+                   draw(st.sampled_from(BREAKS)).encode()]
+    for fault in draw(st.lists(st.sampled_from(FAULTS + EDGE_TOKENS), max_size=2)):
         pieces.insert(draw(st.integers(min_value=0, max_value=len(pieces))), fault)
     return order, (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + b"".join(pieces)
 
 
-def read_line_by_line(order, data, rule, model):
-    """simulate's (exit code, stdout, stderr) on ``data`` as its contract
-    states it: each \\n-ended line decoded, then each of the lines that
-    str.splitlines() cuts it into parsed, checked and served in turn, so
-    that the first error in file order ends the run."""
-    served = []
+def read_line_by_line(data, order=None):
+    """The one reference for list and request text: the requests of
+    ``data`` before its first error in file order, and that error's message
+    (None if it has none). Each \\n-ended line is decoded, a byte-order mark
+    skipped on line 1 only; then each of the lines that str.splitlines()
+    cuts it into is parsed, checked and, when ``order`` is given, looked up
+    in it in turn."""
+    requests = []
     for number, raw in enumerate(io.BytesIO(data).readlines(), 1):
         try:
             text = raw.decode("utf-8-sig" if number == 1 else "utf-8")
         except UnicodeDecodeError as exc:
-            return 3, "", f"error: input file is not valid UTF-8: line {number}: {exc}\n"
+            return requests, f"input file is not valid UTF-8: line {number}: {exc}"
         for line in text.splitlines():
             values = []
             for token in line.split("#", 1)[0].replace(",", " ").split():
                 try:
                     values.append(int(token))
                 except ValueError:
-                    return 3, "", f"error: expected an integer, got {token!r}\n"
+                    return requests, f"expected an integer, got {token!r}"
             for value in values:
                 if value < 1:
-                    return 3, "", f"error: bad sequence file: each request must be a positive integer, got {value}\n"
+                    return requests, f"bad sequence file: each request must be a positive integer, got {value}"
             for value in values:
-                if value not in order:
-                    return 3, "", f"error: request {len(served)}: item {value} is not in the list\n"
-                served.append(value)
-    return 0, f"total {sum(reference.run(rule, order, served, model)[0])}\n", ""
+                if order is not None and value not in order:
+                    return requests, f"request {len(requests)}: item {value} is not in the list"
+                requests.append(value)
+    return requests, None
+
+
+def _simulated(order, data, rule, model):
+    """simulate's (exit code, stdout, stderr) on a sequence file of ``data``, from the reference reading."""
+    requests, error = read_line_by_line(data, order)
+    if error is not None:
+        return 3, "", f"error: {error}\n"
+    return 0, f"total {sum(reference.run(rule, order, requests, model)[0])}\n", ""
+
+
+def _parsed(text):
+    """parse_sequence_file's requests, or the message of the ParseError it raises."""
+    try:
+        return parse_sequence_file(text).requests
+    except ParseError as exc:
+        return str(exc)
 
 
 @given(files=faulty_files(), rule=st.sampled_from(["mtf", "trans", "fc"]),
@@ -206,19 +235,31 @@ def read_line_by_line(order, data, rule, model):
 def test_every_chunk_size_reads_the_file_as_line_by_line(files, rule, model):
     # A chunk is one line or the next few (1 byte), a few lines (a few
     # tens of bytes) or the whole file (the default): each reads the file
-    # exactly as one line at a time does.
+    # exactly as one line at a time does, in simulate and, on a file that
+    # is UTF-8, in parse_sequence_file, with the token table at its size
+    # and at two ids, where lines of three or more tokens are entered in
+    # part and a line with a new token starts the table over.
     order, data = files
-    expected = read_line_by_line(order, data, rule, model)
+    expected = _simulated(order, data, rule, model)
+    requests, error = read_line_by_line(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
     with tempfile.TemporaryDirectory() as directory:
         list_file, seq_file = Path(directory, "list.txt"), Path(directory, "seq.txt")
         list_file.write_text(" ".join(map(str, order)) + "\n")
         seq_file.write_bytes(data)
-        for chunk in (1, 24, 70, cli._CHUNK):
+        for chunk in (1, 24, 70, seqgen._CHUNK):
             out, err = io.StringIO(), io.StringIO()
-            with mock.patch.object(cli, "_CHUNK", chunk), redirect_stdout(out), redirect_stderr(err):
+            with mock.patch.object(seqgen, "_CHUNK", chunk), redirect_stdout(out), redirect_stderr(err):
                 code = main(["simulate", "--algo", rule, "--model", model, "--list-file", str(list_file),
                              "--seq-file", str(seq_file)])
             assert (code, out.getvalue(), err.getvalue()) == expected, chunk
+            if text is not None:
+                for table_ids in (seqgen._TABLE_IDS, 2):
+                    with mock.patch.object(seqgen, "_CHUNK", chunk), mock.patch.object(seqgen, "_TABLE_IDS", table_ids):
+                        assert _parsed(text) == (tuple(requests) if error is None else error), (chunk, table_ids)
 
 
 @given(order=st.permutations(range(1, 7)), requests=st.lists(st.integers(min_value=1, max_value=6), max_size=40))
