@@ -3,7 +3,7 @@
 Run:  python3 demos/policy_walkthrough.py
 """
 
-from solist import CostModel, ListState, make_policy
+from solist import CostModel, ListState, explicit_sequence, make_policy, serve
 
 
 def trace(policy_name, start, requests):
@@ -16,7 +16,9 @@ def trace(policy_name, start, requests):
         total += outcome.cost
         print(f"  request {item}: cost {outcome.cost}, list becomes {outcome.new_state.order}")
         state, policy = outcome.new_state, outcome.new_policy
-    print(f"  grand total {total}\n")
+    # serve folds the same steps over the whole stream in one call.
+    served = serve(make_policy(policy_name), ListState(start), explicit_sequence(requests)).grand_total
+    print(f"  grand total {total} (serve over the whole stream: {served})\n")
     return total
 
 

@@ -20,6 +20,8 @@ _MODULES = ("errors", "closed_form", "list_core", "seqgen", "policies", "harness
 
 
 def __getattr__(name: str):
+    if name in (*_MODULES, "cli", "__main__"):  # a submodule: `from solist import cli` then loads cli alone
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = []
     for module_name in _MODULES:
         module = import_module(f"{__name__}.{module_name}")

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .list_core import CostModel, ListState
-    from .policies import _serve_stream, make_policy, serve
+    from .policies import _pass_totals, _serve_stream, make_policy, serve
     from .seqgen import GENERATORS, _read_list, _read_requests
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
@@ -120,8 +120,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
         sequence = GENERATORS[Family(args.seq)](args.n, args.k)
-        ledger = serve(make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model))
-        if args.per_pass:
+        inputs = make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model)
+        if not args.per_pass:  # only the grand total is printed: keep only the pass totals
+            total = _pass_totals(*inputs).total()
+        else:
+            ledger = serve(*inputs)
             def passes() -> Iterator[str]:
                 formatted: dict[int, str] = {}  # repeating passes share their snapshot objects: format each once
                 for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
@@ -131,7 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     yield f"pass {index} cost {cost} config {items}"
 
             _emit(passes(), None)
-        total = ledger.grand_total
+            total = ledger.grand_total
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")

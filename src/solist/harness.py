@@ -16,8 +16,8 @@ from typing import Iterable, NamedTuple
 
 from .closed_form import Algorithm, _totals, expected_pass_costs
 from .errors import Family, InvalidParameterError, check_int, check_range, member
-from .list_core import CostLedger, CostModel, ListState, PeriodicView
-from .policies import make_policy, serve
+from .list_core import CostModel, ListState, PeriodicView
+from .policies import _pass_totals, make_policy, serve
 from .seqgen import GENERATORS
 
 __all__ = [
@@ -68,17 +68,13 @@ class PassProfile(NamedTuple):
     pass_end_configs: PeriodicView
 
 
-def _simulate(algorithm: Algorithm, family: Family, n: int, k: int, model: CostModel) -> CostLedger:
-    sequence = GENERATORS[family](n, k)
-    return serve(make_policy(algorithm.value), ListState.initial(n), sequence, model)
-
-
-def _first_divergence(ledger: CostLedger, algorithm: Algorithm, family: Family, model: CostModel) -> int | None:
-    n, k = ledger.final_state.n, len(ledger.pass_totals)
+def _first_divergence(totals: PeriodicView, n: int, algorithm: Algorithm, family: Family,
+                      model: CostModel) -> int | None:
+    k = len(totals)
     full = expected_pass_costs(algorithm, family, n, k)
     less = n * CostModel.discount(model)
     expected = PeriodicView(tuple(cost - less for cost in full.head), tuple(cost - less for cost in full.cycle), k)
-    index = ledger.pass_totals.first_difference(expected)
+    index = totals.first_difference(expected)
     return None if index is None else index * n + 1
 
 
@@ -112,8 +108,8 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                 for n in range(n_lo, n_hi + 1):
                     # The first k passes of a k_hi-pass run are the k-pass run,
                     # so one simulation serves the whole row of k.
-                    ledger = _simulate(algorithm, family, n, k_hi, model)
-                    totals = ledger.pass_totals
+                    sequence = GENERATORS[family](n, k_hi)
+                    totals = _pass_totals(make_policy(algorithm.value), ListState.initial(n), sequence, model)
                     simulated = totals.total(k_lo - 1)
                     # Pass i's expected cost does not depend on k, so the row's first divergent request (... until
                     # its first mismatch) is that of every mismatched cell whose passes reach it.
@@ -124,7 +120,7 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                         predicted = prediction.total - k * n * discount
                         match = simulated == predicted
                         if not match and divergence is ...:
-                            divergence = _first_divergence(ledger, algorithm, family, model)
+                            divergence = _first_divergence(totals, n, algorithm, family, model)
                         reached = not match and divergence is not None and divergence <= (k - 1) * n + 1
                         yield GridCell(algorithm, family, n, k, simulated, predicted, match,
                                        divergence if reached else None)
@@ -135,5 +131,6 @@ def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k
     """Full-model per-pass costs and pass-end configurations."""
     algorithm, family = member(Algorithm, algorithm), member(Family, family)
     check_int(k, "k")
-    ledger = _simulate(algorithm, family, n, k, CostModel.FULL)
+    sequence = GENERATORS[family](n, k)
+    ledger = serve(make_policy(algorithm.value), ListState.initial(n), sequence, CostModel.FULL)
     return PassProfile(ledger.pass_totals, ledger.pass_end_configs)

@@ -260,6 +260,30 @@ def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[
     return sum(map(sum, _costs(advance, 1 - CostModel.discount(model), blocks)))
 
 
+def _passes(advance: Callable, state: Callable[[], Hashable], first: int, sequence: RequestSequence,
+            keep: Callable[[list[int], Hashable], None] = lambda costs, key: None) -> PeriodicView:
+    """The one pass loop: serve the block of ``sequence`` pass after pass, handing ``keep`` each pass's costs and
+    pass-end run state, until a state repeats. Return the pass totals, holding the passes up to the first one that
+    ended in the repeated state and one cycle of those after it."""
+    num_passes, totals = len(sequence) // len(sequence.block), []
+    seen: dict = {}  # pass-end run state -> index of the first pass that ended in it
+    for index, costs in enumerate(_costs(advance, first, repeat(sequence.block, num_passes))):
+        key = state()
+        totals.append(sum(costs))
+        keep(costs, key)
+        del costs  # so that two passes' costs are never held at once
+        start = seen.setdefault(key, index)
+        if start < index:
+            return PeriodicView(totals[:start + 1], totals[start + 1:], num_passes)
+    return PeriodicView(totals, (), num_passes)
+
+
+def _pass_totals(policy: Policy, initial: ListState, sequence: RequestSequence, model: CostModel) -> PeriodicView:
+    """``serve(...).pass_totals`` of a sequence with passes: of each pass, only its total and end state are kept."""
+    advance, state, _ = policy._start_run(initial)
+    return _passes(advance, state, 1 - CostModel.discount(model), sequence)
+
+
 def serve(
     policy: Policy,
     initial: ListState,
@@ -284,7 +308,7 @@ def serve(
     """
     first = 1 - CostModel.discount(model)
     advance, state, arrangement = policy._start_run(initial)
-    from array import array  # imported here, so that simulate on files, which stores no costs, never loads it
+    from array import array  # imported here, so that simulate, which stores no costs without --per-pass, never loads it
     per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     block = sequence.block
     if block is None:
@@ -292,34 +316,25 @@ def serve(
         for costs in _costs(advance, first, iter(lambda: tuple(islice(requests, _SLICE)), ())):
             per_request.fromlist(costs)
         return CostLedger(PeriodicView(per_request), ListState._unchecked(arrangement(state())))
-    num_passes = len(sequence) // len(block)
-    seen: dict = {}  # pass-end run state -> index of the first pass that ended in it
-    pass_totals: list[int] = []
     pass_configs: list[ListState] = []
-    # From pass cycle_start on, the stored passes repeat as one cycle.
-    cycle_start = num_passes
-    for costs in _costs(advance, first, repeat(block, num_passes)):
-        per_request.fromlist(costs)
-        pass_totals.append(sum(costs))
-        del costs  # so that two passes' costs are never held at once
-        key = state()
-        pass_configs.append(ListState._unchecked(arrangement(key)))  # from the key: trans stores one tuple
-        start = seen.setdefault(key, len(seen))
-        if len(seen) < len(pass_configs):  # an earlier pass ended in this state
-            cycle_start = start + 1
-            break
 
-    # The views keep these sequences: nothing else holds them.
+    def keep(costs: list[int], key: Hashable) -> None:
+        per_request.fromlist(costs)
+        pass_configs.append(ListState._unchecked(arrangement(key)))  # from the key: trans stores one tuple
+
+    pass_totals = _passes(advance, state, first, sequence, keep)
+
+    # The views keep these sequences: nothing else holds them. They repeat from where the pass totals' cycle starts.
     def view(stored, width: int = 1) -> PeriodicView:
-        cut = cycle_start * width
+        cut = len(pass_totals.head) * width
         cycle = stored[cut:]
         del stored[cut:]
-        return PeriodicView(stored, cycle, num_passes * width)
+        return PeriodicView(stored, cycle, len(pass_totals) * width)
 
     configs = view(pass_configs)
     return CostLedger(
         per_request=view(per_request, len(block)),
-        final_state=configs[-1] if num_passes else initial,
-        pass_totals=view(pass_totals),
+        final_state=configs[-1] if configs else initial,
+        pass_totals=pass_totals,
         pass_end_configs=configs,
     )

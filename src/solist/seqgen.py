@@ -187,4 +187,6 @@ def parse_sequence_file(text: str) -> RequestSequence:
     """Parse a request stream, as ``simulate`` reads a sequence file: every token in the text is one request.
     The text is parsed and checked a chunk of lines at a time, so the error raised is the first in text order."""
     requests = _read_requests(io.BytesIO(text.encode("utf-8", "surrogatepass")))
-    return explicit_sequence(chain.from_iterable(requests))
+    sequence = object.__new__(RequestSequence)  # the reader has checked every id: built as ListState._unchecked builds
+    object.__setattr__(sequence, "requests", PeriodicView(tuple(chain.from_iterable(requests))))
+    return sequence

@@ -12,7 +12,7 @@ import pytest
 
 import solist.cli
 import solist.harness
-from solist import ParseError, Prediction, SolistError, predict
+from solist import CostLedger, ParseError, Prediction, SolistError, predict
 from solist.cli import main
 from solist.closed_form import _totals
 
@@ -735,3 +735,36 @@ def test_cli_stores_a_thousand_passes_as_machine_ints():
     prediction = predict("trans", "T1", 2000, 1001)
     assert (prediction.case_id, prediction.total) == ("3.1b", 2003501500)
     assert (result.returncode, result.stdout, result.stderr) == (0, "total 2003501500\n", "")
+
+
+@linux_only
+def test_simulate_keeps_only_the_pass_totals():
+    # Without --per-pass, simulate prints one total, so it keeps each pass's
+    # total and the pass-end state it detects a repeat by, and no per-request
+    # cost: the same run as above peaks at about 31 MB of RSS, and a ledger
+    # of its 2M costs fails at 48 MB.
+    result = solist_child("simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", limit_mb=44)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "total 2003501500\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--algo", "mtf", "--seq", "t1", "--n", "7", "--k", "5"],
+    ["simulate", "--algo", "trans", "--seq", "t1", "--n", "9", "--k", "10", "--model", "partial"],
+    ["simulate", "--algo", "fc", "--seq", "t2", "--n", "6", "--k", "1000000000000"],
+    ["verify", "--n", "1..8", "--k", "1..8"],
+    ["verify", "--algo", "trans", "--n", "3..6", "--k", "2..9", "--model", "partial", "--format", "csv"],
+], ids=["simulate-mtf", "simulate-trans-partial", "simulate-fc-huge-k", "verify", "verify-csv"])
+def test_totals_are_printed_without_a_ledger(capsys, monkeypatch, argv):
+    # simulate without --per-pass and verify read only pass totals: they print
+    # the same bytes when no CostLedger can be built, while --per-pass, which
+    # prints the ledger's snapshots, needs one.
+    expected = run_cli(capsys, *argv)
+
+    def refuse(ledger):
+        raise AssertionError("a CostLedger was built")
+
+    monkeypatch.setattr(CostLedger, "__post_init__", refuse)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]
+    with pytest.raises(AssertionError, match="a CostLedger was built"):
+        main(["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2", "--per-pass"])

@@ -122,13 +122,13 @@ def test_first_divergence_localizes_wrong_pass():
     # A transpose ledger graded against the move-to-front decomposition
     # diverges at pass 2 (pass 1 costs the same under both rules).
     ledger = serve(Transpose(), ListState.initial(4), gen_t1(4, 3))
-    index = _first_divergence(ledger, Algorithm.MTF, Family.T1, CostModel.FULL)
+    index = _first_divergence(ledger.pass_totals, 4, Algorithm.MTF, Family.T1, CostModel.FULL)
     assert index == 5
 
 
 def test_first_divergence_none_when_consistent():
     ledger = serve(Transpose(), ListState.initial(4), gen_t1(4, 3))
-    assert _first_divergence(ledger, Algorithm.TRANS, Family.T1, CostModel.FULL) is None
+    assert _first_divergence(ledger.pass_totals, 4, Algorithm.TRANS, Family.T1, CostModel.FULL) is None
 
 
 @pytest.mark.parametrize("model", list(CostModel))
@@ -158,7 +158,8 @@ def test_prefix_reuse_matches_per_cell_serve(model, wrong, monkeypatch):
         assert cell.match is not wrong
         if wrong:
             assert cell.first_divergence == 2 * cell.n + 1
-            assert cell.first_divergence == _first_divergence(ledger, cell.algorithm, cell.family, model)
+            divergence = _first_divergence(ledger.pass_totals, cell.n, cell.algorithm, cell.family, model)
+            assert cell.first_divergence == divergence
         else:
             assert cell.first_divergence is None
 

@@ -125,6 +125,17 @@ def test_a_closed_form_loads_only_the_closed_form_module():
     assert fresh(code) == ["solist", "solist.closed_form", "solist.errors"]
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("closed_form", ["solist", "solist.closed_form", "solist.errors"]),
+    ("errors", ["solist", "solist.errors"]),
+    ("cli", ["solist", "solist.cli", "solist.errors"]),
+])
+def test_importing_a_module_from_the_package_loads_only_that_module(module, loaded):
+    # The import system asks the package for the name before it loads the
+    # submodule; the package must refuse it without loading every module.
+    assert fresh(f"import json, sys\nfrom solist import {module}\nprint({LOADED})") == loaded
+
+
 def test_star_import_binds_exactly_the_public_api():
     code = "import json; ns = {}; exec('from solist import *', ns); print(json.dumps(sorted(ns)))"
     assert fresh(code) == sorted(PUBLIC_API + ["__builtins__"])

@@ -201,12 +201,104 @@ def test_serve_equals_folded_steps(name, inst):
         check_serve(POLICIES[name], state, explicit_sequence(requests), model)
 
 
+@st.composite
+def sparse_seeded(draw, max_n=6, max_m=24):
+    # Distinct ids from a wide range, most of them above 256, requests over
+    # them, and frequency-count counters for some of them.
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=10**9), min_size=n, max_size=n, unique=True))
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    requests = draw(st.lists(st.sampled_from(ids), min_size=m, max_size=m))
+    counters = draw(st.dictionaries(st.sampled_from(ids), st.integers(min_value=0, max_value=4)))
+    return ListState(tuple(ids)), tuple(requests), counters
+
+
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
-@given(inst=instance())
+@given(inst=sparse_seeded())
 @settings(max_examples=60)
 def test_serve_matches_naive_oracle(name, inst):
-    state, requests = inst
-    check_serve(POLICIES[name], state, explicit_sequence(requests))
+    # What test_serve_equals_folded_steps leaves out: sparse ids, counters
+    # that frequency count starts from, and the same requests as a block
+    # served three times over.
+    state, requests, counters = inst
+    policy = FrequencyCount(counters) if name == "fc" else POLICIES[name]
+    sequences = [explicit_sequence(requests)] + ([RequestSequence.repeat(requests, 3)] if requests else [])
+    for sequence, model in itertools.product(sequences, CostModel):
+        check_serve(policy, state, sequence, model)
+
+
+@st.composite
+def pass_runs(draw):
+    # A shuffled list of the ids 1..n or of sparse ones, counters for some of
+    # them, and a block over them served k times: an unequal block (items
+    # repeated or missing) or a balanced one (every item equally often).
+    n = draw(st.integers(min_value=1, max_value=6))
+    sparse = st.lists(st.integers(min_value=1, max_value=10**9), min_size=n, max_size=n, unique=True)
+    ids = draw(st.one_of(st.just(list(range(1, n + 1))), sparse))
+    state = ListState(tuple(draw(st.permutations(ids))))
+    balanced = draw(st.booleans())
+    if balanced:
+        block = draw(st.permutations(ids * draw(st.integers(min_value=1, max_value=2))))
+    else:
+        block = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=8))
+    counters = draw(st.dictionaries(st.sampled_from(ids), st.integers(min_value=0, max_value=4)))
+    k = draw(st.sampled_from([0, 1, 10**12]) | st.integers(min_value=2, max_value=12))
+    return state, counters, tuple(block), balanced, k
+
+
+def oracle_passes(name, order, counters, block, k, model):
+    """The pass totals that a run stores, from the oracles one pass at a
+    time: those up to the first pass that ends in an earlier pass's state,
+    split into the passes before that earlier pass's successor and the
+    cycle from there. A state is the arrangement, with frequency count's
+    counters less their minimum."""
+    totals, seen = [], {}
+    for index in range(k):
+        if name == "fc":
+            costs, trace, counters = fc_by_definition(order, counters, block, model)
+            low = min(counters.get(item, 0) for item in order)
+            key = trace[-1], tuple(counters.get(item, 0) - low for item in trace[-1])
+        else:
+            costs, trace = reference.run(name, order, block, model.value)
+            key = trace[-1]
+        order = trace[-1]
+        totals.append(sum(costs))
+        start = seen.setdefault(key, index)
+        if start < index:
+            return tuple(totals[:start + 1]), tuple(totals[start + 1:])
+    return tuple(totals), ()
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+@given(inst=pass_runs())
+@settings(max_examples=80)
+def test_pass_totals_equal_serve_and_the_oracle(name, inst):
+    # The totals reader runs serve's pass loop keeping only each pass's
+    # total. It returns serve's pass_totals, stored as the oracle's passes
+    # up to the first repeated state, at every k.
+    state, counters, block, balanced, k = inst
+    if name == "fc" and not balanced:
+        k = min(k, 12)  # no pass-end state of frequency count repeats on an unequal block: serve would run every pass
+    policy = FrequencyCount(counters) if name == "fc" else POLICIES[name]
+    sequence = RequestSequence.repeat(block, k)
+    for model in CostModel:
+        totals = policies._pass_totals(policy, state, sequence, model)
+        ledger = serve(policy, state, sequence, model)
+        head, cycle = oracle_passes(name, state.order, counters if name == "fc" else {}, block, k, model)
+        assert (tuple(totals.head), tuple(totals.cycle), len(totals)) == (head, cycle, k)
+        assert totals == ledger.pass_totals
+        assert totals.total() == ledger.grand_total
+
+
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_pass_totals_name_a_missing_item_as_serve_does(name):
+    sequence = RequestSequence.repeat((2, 3, 9, 1), 3)
+    raised = []
+    for read in (serve, policies._pass_totals):
+        with pytest.raises(ItemNotInListError) as caught:
+            read(POLICIES[name], ListState.initial(3), sequence, CostModel.FULL)
+        raised.append((caught.value.item, caught.value.request_index, str(caught.value)))
+    assert raised[0] == raised[1] == (9, 2, "request 2: item 9 is not in the list")
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])

@@ -248,3 +248,16 @@ def test_a_parser_checks_a_line_each_time_it_reads_it():
     # than being read from the table.
     with pytest.raises(ParseError, match="positive integer, got 0"):
         list(seqgen._read_requests(io.BytesIO(b"5 0\n")))
+
+
+def test_a_parsed_sequence_is_not_checked_again(monkeypatch):
+    # The reader checks each chunk's ids as it parses them, calling check_ids
+    # only for a chunk that holds an id below 1; the sequence is built from
+    # those checked ids, so a clean text calls it not at all.
+    calls = []
+    check_ids = seqgen.check_ids
+    monkeypatch.setattr(seqgen, "check_ids", lambda values, name: calls.append(name) or check_ids(values, name))
+    sequence = parse_sequence_file("3 1 2\n2, 3  # a comment\n\n1\n")
+    assert calls == []
+    assert sequence == explicit_sequence((3, 1, 2, 2, 3, 1))
+    assert sequence.block is None
