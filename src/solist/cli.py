@@ -18,7 +18,7 @@ import signal
 import sys
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Each subcommand imports the modules it runs: start-up loads only errors.
 from .errors import Family, InvalidParameterError, ItemNotInListError, ParseError, SolistError, check_int, check_range
@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .list_core import CostModel, ListState
-    from .policies import _pass_totals, _serve_stream, make_policy, serve
+    from .list_core import CostModel, ListState, PeriodicView
+    from .policies import _passes, _serve_stream, make_policy, serve
     from .seqgen import GENERATORS, _read_list, _read_requests
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
@@ -122,18 +122,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sequence = GENERATORS[Family(args.seq)](args.n, args.k)
         inputs = make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model)
         if not args.per_pass:  # only the grand total is printed: keep only the pass totals
-            total = _pass_totals(*inputs).total()
+            total = _passes(*inputs).total()
         else:
             ledger = serve(*inputs)
-            def passes() -> Iterator[str]:
-                formatted: dict[int, str] = {}  # repeating passes share their snapshot objects: format each once
-                for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1):
-                    items = formatted.get(id(config))
-                    if items is None:
-                        items = formatted[id(config)] = " ".join(map(str, config.order))
-                    yield f"pass {index} cost {cost} config {items}"
-
-            _emit(passes(), None)
+            configs = ledger.pass_end_configs  # format each stored configuration once: the view repeats the texts
+            texts = PeriodicView(*([" ".join(map(str, config.order)) for config in part]
+                                   for part in (configs.head, configs.cycle)), len(configs))
+            _emit((f"pass {index} cost {cost} config {text}"
+                   for index, (cost, text) in enumerate(zip(ledger.pass_totals, texts), 1)), None)
             total = ledger.grand_total
     else:
         if args.list_file is None or args.seq_file is None:

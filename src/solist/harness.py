@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 from .closed_form import Algorithm, _totals, expected_pass_costs
 from .errors import Family, InvalidParameterError, check_int, check_range, member
 from .list_core import CostModel, ListState, PeriodicView
-from .policies import _pass_totals, make_policy, serve
+from .policies import _passes, make_policy, serve
 from .seqgen import GENERATORS
 
 __all__ = [
@@ -109,7 +109,7 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                     # The first k passes of a k_hi-pass run are the k-pass run,
                     # so one simulation serves the whole row of k.
                     sequence = GENERATORS[family](n, k_hi)
-                    totals = _pass_totals(make_policy(algorithm.value), ListState.initial(n), sequence, model)
+                    totals = _passes(make_policy(algorithm.value), ListState.initial(n), sequence, model)
                     simulated = totals.total(k_lo - 1)
                     # Pass i's expected cost does not depend on k, so the row's first divergent request (... until
                     # its first mismatch) is that of every mismatched cell whose passes reach it.

@@ -51,9 +51,10 @@ _LOW = 0x400
 _SLICE = 4096  # serve runs a stream without passes this many requests at a time: only their costs are int objects
 
 
-def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, Callable[[str], tuple]]:
+def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, str, Callable[[str], tuple]]:
     """Return the map from each item of ``order`` to its token, the token
-    width, and the function that decodes a str of tokens into items."""
+    width, the str of those tokens in order, and the function that decodes
+    a str of tokens into items."""
     n = len(order)
     if n <= _ONE_CODE_POINT_ITEMS:
         tokens, width = map(chr, range(n)), 1
@@ -66,7 +67,7 @@ def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, Callable[[str]
         # Cut s into width-long tokens and map each back to its item.
         return tuple(map(item_of.__getitem__, map("".join, zip(*[iter(s)] * width))))
 
-    return token_of, width, decode
+    return token_of, width, "".join(token_of.values()), decode
 
 
 class AccessOutcome(NamedTuple):
@@ -118,8 +119,7 @@ class MoveToFront(Policy):
     """
 
     def _start_run(self, initial: ListState) -> _Run:
-        token_of, width, decode = _encode(initial.order)
-        s = "".join(token_of.values())
+        token_of, width, s, decode = _encode(initial.order)
 
         def advance(block: Sequence[int], costs: list, first: int) -> None:
             nonlocal s
@@ -195,11 +195,10 @@ class FrequencyCount(Policy):
         return FrequencyCount({**self.counters, item: self.counter(item) + 1})
 
     def _start_run(self, initial: ListState) -> _Run:
-        token_of, width, decode = _encode(initial.order)
+        token_of, width, s, decode = _encode(initial.order)
         stray = self.counters.keys() - token_of.keys()
         if stray:
             raise InvalidParameterError(f"counted item {shown(min(stray))} is not in the list")
-        s = "".join(token_of.values())
         along = [self.counters.get(item, 0) for item in initial.order]
 
         def advance(block: Sequence[int], costs: list, first: int) -> None:
@@ -260,28 +259,25 @@ def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[
     return sum(map(sum, _costs(advance, 1 - CostModel.discount(model), blocks)))
 
 
-def _passes(advance: Callable, state: Callable[[], Hashable], first: int, sequence: RequestSequence,
-            keep: Callable[[list[int], Hashable], None] = lambda costs, key: None) -> PeriodicView:
-    """The one pass loop: serve the block of ``sequence`` pass after pass, handing ``keep`` each pass's costs and
-    pass-end run state, until a state repeats. Return the pass totals, holding the passes up to the first one that
-    ended in the repeated state and one cycle of those after it."""
+def _passes(policy: Policy, initial: ListState, sequence: RequestSequence, model: CostModel,
+            keep: Callable[[list[int], tuple], None] | None = None) -> PeriodicView:
+    """The one pass loop: start a run of ``policy`` from ``initial`` and serve the block of ``sequence`` pass after
+    pass until a pass-end run state repeats. Return the pass totals up to the first pass that ended in that state, and
+    one cycle after it. Hand ``keep``, if given, each of those passes' costs and decoded pass-end arrangement."""
+    first = 1 - CostModel.discount(model)
+    advance, state, arrangement = policy._start_run(initial)
     num_passes, totals = len(sequence) // len(sequence.block), []
     seen: dict = {}  # pass-end run state -> index of the first pass that ended in it
     for index, costs in enumerate(_costs(advance, first, repeat(sequence.block, num_passes))):
         key = state()
         totals.append(sum(costs))
-        keep(costs, key)
+        if keep is not None:
+            keep(costs, arrangement(key))  # from the key: a transpose arrangement is the key itself, not a copy
         del costs  # so that two passes' costs are never held at once
         start = seen.setdefault(key, index)
         if start < index:
             return PeriodicView(totals[:start + 1], totals[start + 1:], num_passes)
     return PeriodicView(totals, (), num_passes)
-
-
-def _pass_totals(policy: Policy, initial: ListState, sequence: RequestSequence, model: CostModel) -> PeriodicView:
-    """``serve(...).pass_totals`` of a sequence with passes: of each pass, only its total and end state are kept."""
-    advance, state, _ = policy._start_run(initial)
-    return _passes(advance, state, 1 - CostModel.discount(model), sequence)
 
 
 def serve(
@@ -306,23 +302,22 @@ def serve(
     hold the passes before that cycle and one copy of it, and read as the
     same ledger, request for request, at any number of passes.
     """
-    first = 1 - CostModel.discount(model)
-    advance, state, arrangement = policy._start_run(initial)
     from array import array  # imported here, so that simulate, which stores no costs without --per-pass, never loads it
     per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
-    block = sequence.block
-    if block is None:
+    if sequence.block is None:
+        first = 1 - CostModel.discount(model)
+        advance, state, arrangement = policy._start_run(initial)
         requests = iter(sequence.requests)
         for costs in _costs(advance, first, iter(lambda: tuple(islice(requests, _SLICE)), ())):
             per_request.fromlist(costs)
         return CostLedger(PeriodicView(per_request), ListState._unchecked(arrangement(state())))
     pass_configs: list[ListState] = []
 
-    def keep(costs: list[int], key: Hashable) -> None:
+    def keep(costs: list[int], order: tuple) -> None:
         per_request.fromlist(costs)
-        pass_configs.append(ListState._unchecked(arrangement(key)))  # from the key: trans stores one tuple
+        pass_configs.append(ListState._unchecked(order))
 
-    pass_totals = _passes(advance, state, first, sequence, keep)
+    pass_totals = _passes(policy, initial, sequence, model, keep)
 
     # The views keep these sequences: nothing else holds them. They repeat from where the pass totals' cycle starts.
     def view(stored, width: int = 1) -> PeriodicView:
@@ -333,7 +328,7 @@ def serve(
 
     configs = view(pass_configs)
     return CostLedger(
-        per_request=view(per_request, len(block)),
+        per_request=view(per_request, len(sequence.block)),
         final_state=configs[-1] if configs else initial,
         pass_totals=pass_totals,
         pass_end_configs=configs,

@@ -1,10 +1,12 @@
 """End-to-end command-line tests: exact output text and exit codes."""
 
+import dataclasses
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -12,7 +14,10 @@ import pytest
 
 import solist.cli
 import solist.harness
-from solist import CostLedger, ParseError, Prediction, SolistError, predict
+import solist.policies
+from solist import CostLedger, CostModel, ListState, ParseError, Prediction, SolistError, gen_t1, gen_t2, make_policy
+from solist import predict, serve
+from solist.list_core import PeriodicView
 from solist.cli import main
 from solist.closed_form import _totals
 
@@ -49,6 +54,47 @@ def test_simulate_per_pass(capsys):
         "pass 2 cost 16 config 4 3 2 1",
         "total 26",
     ]
+
+
+class _Copies(Sequence):
+    """The configurations of ``stored``, each read as a new equal object."""
+
+    def __init__(self, stored):
+        self.stored = stored
+
+    def __len__(self):
+        return len(self.stored)
+
+    def __getitem__(self, index):
+        return ListState(self.stored[index].order)
+
+
+@pytest.mark.parametrize("model", ["full", "partial"])
+@pytest.mark.parametrize("family", ["t1", "t2"])
+@pytest.mark.parametrize("algo", ["mtf", "trans", "fc"])
+def test_per_pass_prints_serves_views(capsys, monkeypatch, algo, family, model):
+    # k runs past the cycle, so most lines repeat a stored pass. The printer
+    # reads each pass from serve's views, not from which object the view
+    # hands out: a view whose configurations come out as new objects on each
+    # read prints the same lines.
+    n, k = 6, 15
+    argv = ["simulate", "--algo", algo, "--seq", family, "--n", str(n), "--k", str(k), "--model", model, "--per-pass"]
+    generator = {"t1": gen_t1, "t2": gen_t2}[family]
+    ledger = serve(make_policy(algo), ListState.initial(n), generator(n, k), CostModel(model))
+    assert len(ledger.pass_totals.head) + len(ledger.pass_totals.cycle) < k
+    lines = [f"pass {index} cost {cost} config {' '.join(map(str, config.order))}"
+             for index, (cost, config) in enumerate(zip(ledger.pass_totals, ledger.pass_end_configs), 1)]
+    expected = "".join(f"{line}\n" for line in lines + [f"total {ledger.grand_total}"])
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+    def copying_serve(*inputs):
+        ledger = serve(*inputs)
+        configs = ledger.pass_end_configs
+        copies = PeriodicView(_Copies(configs.head), _Copies(configs.cycle), len(configs))
+        return dataclasses.replace(ledger, pass_end_configs=copies)
+
+    monkeypatch.setattr(solist.policies, "serve", copying_serve)
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_simulate_partial_model(capsys):
@@ -728,13 +774,17 @@ def test_verify_out_of_memory_is_exit_2():
 @linux_only
 def test_cli_stores_a_thousand_passes_as_machine_ints():
     # Transpose on T1 at n = 2000 repeats no pass-end state within 1001
-    # passes, so serve stores all 1001 of them: 2M costs, as 8-byte machine
-    # ints. This run passes at 56 MB and fails at 48 MB under CPython 3.11.7;
-    # a list of int objects failed at 100 MB.
-    result = solist_child("simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", limit_mb=80)
+    # passes, so with --per-pass, the one simulate path that builds a ledger,
+    # serve stores all 1001 of them: 2M costs, as 8-byte machine ints. This
+    # run passes at 60 MB and fails at 59 MB under CPython 3.11.7; storing
+    # the costs as a list of int objects fails at 112 MB and passes at 120.
+    argv = ["simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", "--per-pass"]
+    result = solist_child(*argv, limit_mb=80)
     prediction = predict("trans", "T1", 2000, 1001)
     assert (prediction.case_id, prediction.total) == ("3.1b", 2003501500)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "total 2003501500\n", "")
+    lines = result.stdout.splitlines()
+    assert (result.returncode, result.stderr, len(lines), lines[-1]) == (0, "", 1002, "total 2003501500")
+    assert lines[0] == "pass 1 cost 2001000 config " + " ".join(map(str, [*range(2, 2001), 1]))
 
 
 @linux_only

@@ -27,6 +27,7 @@ from solist import (
 from solist import policies
 from solist.list_core import PeriodicView
 
+import pairwise
 import reference
 from helpers import check_serve, fc_by_definition, zipf_requests
 
@@ -282,7 +283,7 @@ def test_pass_totals_equal_serve_and_the_oracle(name, inst):
     policy = FrequencyCount(counters) if name == "fc" else POLICIES[name]
     sequence = RequestSequence.repeat(block, k)
     for model in CostModel:
-        totals = policies._pass_totals(policy, state, sequence, model)
+        totals = policies._passes(policy, state, sequence, model)
         ledger = serve(policy, state, sequence, model)
         head, cycle = oracle_passes(name, state.order, counters if name == "fc" else {}, block, k, model)
         assert (tuple(totals.head), tuple(totals.cycle), len(totals)) == (head, cycle, k)
@@ -290,15 +291,126 @@ def test_pass_totals_equal_serve_and_the_oracle(name, inst):
         assert totals.total() == ledger.grand_total
 
 
+@st.composite
+def pairwise_runs(draw, max_k=12):
+    # A shuffled list of the ids 1..n or of sparse ones, frequency-count
+    # counters that do not increase along it (often all zero), and an
+    # unequal or a balanced block over them served k times.
+    n = draw(st.integers(min_value=1, max_value=6))
+    sparse = st.lists(st.integers(min_value=1, max_value=10**9), min_size=n, max_size=n, unique=True)
+    order = draw(st.permutations(draw(st.one_of(st.just(list(range(1, n + 1))), sparse))))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n) | st.just([0] * n))
+    balanced = draw(st.booleans())
+    if balanced:
+        block = draw(st.permutations(order * draw(st.integers(min_value=1, max_value=2))))
+    else:
+        block = draw(st.lists(st.sampled_from(order), min_size=1, max_size=8))
+    k = draw(st.integers(min_value=1, max_value=max_k) | st.just(10**12))
+    return ListState(tuple(order)), dict(zip(order, sorted(counts, reverse=True))), tuple(block), balanced, k
+
+
+def pairwise_view(name, order, block, model, counters, k):
+    head, cycle = pairwise.pass_totals(name, order, block, model.value, counters if name == "fc" else None)
+    return PeriodicView(head[:k], cycle, k)
+
+
+@pytest.mark.parametrize("name", ["mtf", "fc"])
+@given(inst=pairwise_runs(max_k=30))
+@settings(max_examples=60)
+def test_pairwise_oracle_equals_the_naive_one(name, inst):
+    # The pairwise oracle against one that walks the whole list, pass by
+    # pass, far enough for an unequal frequency-count pair to settle.
+    state, counters, block, _, k = inst
+    k = min(k, 30)
+    for model in CostModel:
+        if name == "fc":
+            costs, _, _ = fc_by_definition(state.order, counters, block * k, model)
+        else:
+            costs, _ = reference.run(name, state.order, block * k, model.value)
+        width = len(block)
+        expected = tuple(sum(costs[i * width:(i + 1) * width]) for i in range(k))
+        assert pairwise_view(name, state.order, block, model, counters, k) == expected
+
+
+@pytest.mark.parametrize("family", ["T1", "T2"])
+def test_pairwise_oracle_equals_the_mtf_closed_forms(family):
+    for n, k in itertools.product(range(1, 9), (1, 2, 7, 10**12)):
+        order = tuple(range(1, n + 1))  # T1 scans it in order, T2 in reverse
+        view = pairwise_view("mtf", order, order if family == "T1" else order[::-1], CostModel.FULL, None, k)
+        assert view.total() == predict("mtf", family, n, k).total
+
+
+@pytest.mark.parametrize("name", ["mtf", "fc"])
+@given(inst=pairwise_runs())
+@settings(max_examples=60)
+def test_pass_totals_equal_the_pairwise_oracle(name, inst):
+    # The pass loop, alone and through serve, against the pairwise oracle,
+    # at k up to 12 and at k = 10**12.
+    state, counters, block, balanced, k = inst
+    if name == "fc" and not balanced:
+        k = min(k, 12)  # no pass-end state of frequency count repeats on an unequal block: serve would run every pass
+    policy = FrequencyCount(counters) if name == "fc" else MoveToFront()
+    sequence = RequestSequence.repeat(block, k)
+    for model in CostModel:
+        expected = pairwise_view(name, state.order, block, model, counters, k)
+        totals = policies._passes(policy, state, sequence, model)
+        assert totals == expected
+        assert totals.total() == expected.total()
+        assert serve(policy, state, sequence, model).pass_totals == expected
+
+
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
 def test_pass_totals_name_a_missing_item_as_serve_does(name):
     sequence = RequestSequence.repeat((2, 3, 9, 1), 3)
     raised = []
-    for read in (serve, policies._pass_totals):
+    for read in (serve, policies._passes):
         with pytest.raises(ItemNotInListError) as caught:
             read(POLICIES[name], ListState.initial(3), sequence, CostModel.FULL)
         raised.append((caught.value.item, caught.value.request_index, str(caught.value)))
     assert raised[0] == raised[1] == (9, 2, "request 2: item 9 is not in the list")
+
+
+@pytest.mark.parametrize("family", [gen_t1, gen_t2])
+@pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
+def test_keep_is_handed_each_stored_pass_in_order(name, family):
+    # k runs past the cycle: keep sees the stored passes, each once, with the
+    # costs and the arrangement that the oracle gives at that pass's end.
+    n, k = 6, 12
+    sequence = family(n, k)
+    width = len(sequence.block)
+    for model in CostModel:
+        kept = []
+        totals = policies._passes(POLICIES[name], ListState.initial(n), sequence, model,
+                                  lambda costs, order: kept.append((list(costs), order)))
+        costs, trace = reference.run(name, range(1, n + 1), sequence.requests, model.value)
+        stored = len(totals.head) + len(totals.cycle)
+        assert stored < k
+        assert kept == [(costs[i * width:(i + 1) * width], trace[(i + 1) * width - 1]) for i in range(stored)]
+        assert all(type(order) is tuple for _, order in kept)
+        assert [sum(pass_costs) for pass_costs, _ in kept] == list(totals[:stored])
+
+
+class _Undecodable(Transpose):
+    """Transpose whose runs cannot decode an arrangement."""
+
+    def _start_run(self, initial):
+        advance, state, _ = super()._start_run(initial)
+
+        def arrangement(key):
+            raise AssertionError("an arrangement was decoded")
+
+        return advance, state, arrangement
+
+
+def test_pass_totals_decode_no_arrangement():
+    # Only a reader that keeps the arrangements decodes them: the totals
+    # come out of a rule that cannot decode one, serve's ledger does not.
+    initial, sequence = ListState.initial(7), gen_t1(7, 20)
+    for model in CostModel:
+        totals = policies._passes(_Undecodable(), initial, sequence, model)
+        assert totals == serve(Transpose(), initial, sequence, model).pass_totals
+        with pytest.raises(AssertionError, match="an arrangement was decoded"):
+            serve(_Undecodable(), initial, sequence, model)
 
 
 @pytest.mark.parametrize("name", ["mtf", "trans", "fc"])
