@@ -17,6 +17,7 @@ import os
 import signal
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -27,6 +28,7 @@ __all__ = ["main", "run", "build_parser"]
 
 COMPARE_HEADER = "n,k,family,mtf_cost,trans_cost"
 VERIFY_HEADER = "algo,family,n,k,simulated,predicted,match"
+_BLOCK = 1 << 16  # reports are written this many characters of whole lines at a time, plus at most one line
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 _GNUPLOT_TEMPLATE = """\
@@ -122,14 +124,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sequence = GENERATORS[Family(args.seq)](args.n, args.k)
         inputs = make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model)
         if not args.per_pass:  # only the grand total is printed: keep only the pass totals
-            total = _passes(*inputs).total()
+            lines, total = [], _passes(*inputs).total()
         else:
             ledger = serve(*inputs)
-            configs = ledger.pass_end_configs  # format each stored configuration once: the view repeats the texts
-            texts = PeriodicView(*([" ".join(map(str, config.order)) for config in part]
-                                   for part in (configs.head, configs.cycle)), len(configs))
-            _emit((f"pass {index} cost {cost} config {text}"
-                   for index, (cost, text) in enumerate(zip(ledger.pass_totals, texts), 1)), None)
+            configs, show = ledger.pass_end_configs, lambda config: " ".join(map(str, config.order))
+            # Format each head configuration as its line is written, and each cycle one once: the view repeats those.
+            cycle = PeriodicView((), [*map(show, configs.cycle)], len(configs) - len(configs.head))
+            lines = (f"pass {index} cost {cost} config {text}" for index, (cost, text)
+                     in enumerate(zip(ledger.pass_totals, chain(map(show, configs.head), cycle)), 1))
             total = ledger.grand_total
     else:
         if args.list_file is None or args.seq_file is None:
@@ -145,9 +147,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 total = _serve_stream(make_policy(args.algo), initial, _read_requests(handle), CostModel(args.model))
         except OSError as exc:
             raise ParseError(f"cannot read input file: {exc}") from None
-        if args.per_pass:
-            print("no pass structure declared for this sequence")
-    print(f"total {total}")
+        lines = ["no pass structure declared for this sequence"] if args.per_pass else []
+    _emit(chain(lines, [f"total {total}"]), None)
     return 0
 
 
@@ -163,12 +164,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
     """Write ``lines`` to the file ``output``, or to stdout if it is None,
-    one at a time, so that the report is never held whole as one string."""
-    if output is None:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(f"{line}\n" for line in lines)
+    about _BLOCK characters of whole lines per write, so that the report is
+    never held whole as one string. The lines made before an error are written."""
+    with nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8", newline="") as handle:
+        block, size = [], 0
+        try:
+            for line in lines:
+                block.append(line)
+                size += len(line) + 1
+                if size >= _BLOCK:  # a line longer than a block is written in a block that ends with it
+                    text, block, size = "\n".join(block), [], 0
+                    handle.write(text + "\n")
+        finally:
+            if block:
+                handle.write("\n".join(block) + "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -238,10 +247,8 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     family = Family(args.seq)
     n_lo, n_hi = check_range(args.n, "n")
     check_int(args.kmax, "k_max")
-    print("family n k_star")
-    for n in range(n_lo, n_hi + 1):
-        k_star = crossover(family, n, args.kmax)
-        print(f"{family.value} {n} {'none' if k_star is None else k_star}")
+    k_stars = ((n, crossover(family, n, args.kmax)) for n in range(n_lo, n_hi + 1))
+    _emit(chain(["family n k_star"], (f"{family.value} {n} {'none' if k is None else k}" for n, k in k_stars)), None)
     return 0
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import solist.cli
+import solist.closed_form
 import solist.harness
 import solist.policies
 from solist import CostLedger, CostModel, ListState, ParseError, Prediction, SolistError, gen_t1, gen_t2, make_policy
@@ -517,6 +518,83 @@ def test_compare_streams_its_rows(tmp_path):
     assert lines[-1] == f"5,30000,T1,{mtf},{trans}"
 
 
+class _WriteRecorder:
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, texts):  # as io.TextIOWrapper does: one write each
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_report_is_written_in_blocks_of_whole_lines(monkeypatch):
+    # 10,001 lines of about 170 characters go out in a few dozen writes, not one per line.
+    stdout = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["simulate", "--algo", "mtf", "--seq", "t1", "--n", "50", "--k", "10000", "--per-pass"]) == 0
+    text = "".join(stdout.writes)
+    assert len(stdout.writes) <= len(text) / solist.cli._BLOCK + 2
+    assert all(write.endswith("\n") for write in stdout.writes)
+    lines = text.splitlines()
+    assert (len(lines), lines[-1]) == (10_001, f"total {predict('mtf', 'T1', 50, 10_000).total}")
+    assert lines[0] == "pass 1 cost 1275 config " + " ".join(map(str, range(50, 0, -1)))
+
+
+def test_a_block_is_bounded_in_characters_not_lines(capsys, monkeypatch):
+    # A block is written once it reaches _BLOCK characters, so a line longer
+    # than a block ends the block it starts, and no write holds two such lines.
+    argv = ["simulate", "--algo", "trans", "--seq", "t1", "--n", "60", "--k", "5", "--per-pass"]
+    expected = run_cli(capsys, *argv)
+    stdout = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(solist.cli, "_BLOCK", 100)
+    assert main(argv) == 0
+    assert "".join(stdout.writes) == expected[1]
+    assert [write.count("\n") for write in stdout.writes] == [1] * 6
+    stdout.writes.clear()
+    solist.cli._emit([letter * width for letter, width in zip("abcdef", [10, 150, 10, 80, 20, 5])], None)
+    assert stdout.writes == ["a" * 10 + "\n" + "b" * 150 + "\n", "c" * 10 + "\n" + "d" * 80 + "\n" + "e" * 20 + "\n",
+                             "f" * 5 + "\n"]
+
+
+def test_crossover_writes_the_rows_before_an_error(capsys, monkeypatch):
+    real = solist.closed_form.crossover
+
+    def broken_at_3(family, n, k_max):
+        if n == 3:
+            raise SolistError("dominance broken at n 3")
+        return real(family, n, k_max)
+
+    monkeypatch.setattr(solist.closed_form, "crossover", broken_at_3)
+    code, out, err = run_cli(capsys, "crossover", "--seq", "t1", "--n", "1..5", "--kmax", "5")
+    assert (code, out, err) == (2, "family n k_star\nT1 1 none\nT1 2 none\n", "error: dominance broken at n 3\n")
+
+
+def test_verify_writes_the_rows_before_an_error_to_its_output(capsys, monkeypatch, tmp_path):
+    # Row n = 2 of the CSV stream raises after row n = 1 is graded: the file keeps row n = 1.
+    real = solist.harness._passes
+
+    def broken_at_2(policy, initial, *rest):
+        if len(initial.order) == 2:
+            raise SolistError("row n 2 failed")
+        return real(policy, initial, *rest)
+
+    monkeypatch.setattr(solist.harness, "_passes", broken_at_2)
+    report = tmp_path / "report.csv"
+    argv = ["verify", "--algo", "mtf", "--seq", "t1", "--n", "1..3", "--k", "1..2", "--format", "csv"]
+    assert run_cli(capsys, *argv, "--output", str(report)) == (2, "", "error: row n 2 failed\n")
+    assert report.read_text() == "algo,family,n,k,simulated,predicted,match\nmtf,T1,1,1,1,1,true\nmtf,T1,1,2,2,2,true\n"
+
+
 def test_compare_gnuplot_needs_output(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "compare", "--seq", "t1", "--n", "4", "--k", "1..2",
@@ -775,11 +853,14 @@ def test_verify_out_of_memory_is_exit_2():
 def test_cli_stores_a_thousand_passes_as_machine_ints():
     # Transpose on T1 at n = 2000 repeats no pass-end state within 1001
     # passes, so with --per-pass, the one simulate path that builds a ledger,
-    # serve stores all 1001 of them: 2M costs, as 8-byte machine ints. This
-    # run passes at 60 MB and fails at 59 MB under CPython 3.11.7; storing
-    # the costs as a list of int objects fails at 112 MB and passes at 120.
+    # serve stores all 1001 of them: 2M costs, as 8-byte machine ints. Each
+    # head configuration's text (8,892 characters) is formatted as its line
+    # is written. This run passes at 51 MB and fails at 50 MB under CPython
+    # 3.11.7, 3.12.1 and 3.13.0. Formatting all 1001 texts before the first
+    # line fails at 55 MB under all three, and storing the costs as int
+    # objects fails at 112 MB.
     argv = ["simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", "--per-pass"]
-    result = solist_child(*argv, limit_mb=80)
+    result = solist_child(*argv, limit_mb=55)
     prediction = predict("trans", "T1", 2000, 1001)
     assert (prediction.case_id, prediction.total) == ("3.1b", 2003501500)
     lines = result.stdout.splitlines()
