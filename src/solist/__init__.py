@@ -16,7 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # At module level, each module imports only modules before it.
-_MODULES = ("errors", "closed_form", "list_core", "seqgen", "policies", "harness")
+_MODULES = ("errors", "closed_form", "seqgen", "policies", "list_core", "harness")
 
 
 def __getattr__(name: str):

@@ -108,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .list_core import CostModel, ListState, PeriodicView
-    from .policies import _passes, _serve_stream, make_policy, serve
-    from .seqgen import GENERATORS, _read_list, _read_requests
+    from .policies import CostModel, _pass_ends, _passes, _serve_stream, make_policy
+    from .seqgen import GENERATORS, PeriodicView, _initial_order, _read_list, _read_requests
     family_source = args.seq is not None
     file_source = args.list_file is not None or args.seq_file is not None
     sized = args.n is not None or args.k is not None
@@ -122,17 +121,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.n is None or args.k is None:
             raise InvalidParameterError("--seq needs both --n and --k")
         sequence = GENERATORS[Family(args.seq)](args.n, args.k)
-        inputs = make_policy(args.algo), ListState.initial(args.n), sequence, CostModel(args.model)
+        inputs = make_policy(args.algo), _initial_order(args.n), sequence, CostModel(args.model)
         if not args.per_pass:  # only the grand total is printed: keep only the pass totals
             lines, total = [], _passes(*inputs).total()
-        else:
-            ledger = serve(*inputs)
-            configs, show = ledger.pass_end_configs, lambda config: " ".join(map(str, config.order))
+        else:  # the pass totals and pass-end arrangements, and no per-request cost
+            totals, configs = _pass_ends(*inputs)
+            show = lambda order: " ".join(map(str, order))
             # Format each head configuration as its line is written, and each cycle one once: the view repeats those.
             cycle = PeriodicView((), [*map(show, configs.cycle)], len(configs) - len(configs.head))
             lines = (f"pass {index} cost {cost} config {text}" for index, (cost, text)
-                     in enumerate(zip(ledger.pass_totals, chain(map(show, configs.head), cycle)), 1))
-            total = ledger.grand_total
+                     in enumerate(zip(totals, chain(map(show, configs.head), cycle)), 1))
+            total = totals.total()
     else:
         if args.list_file is None or args.seq_file is None:
             raise InvalidParameterError("explicit input needs both --list-file and --seq-file")
@@ -182,7 +181,7 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .harness import _grid
-    from .list_core import CostModel
+    from .policies import CostModel
     algorithms, families = args.algo or ["mtf", "trans"], args.seq or ["t1", "t2"]
     report = _grid(algorithms, families, args.n, args.k, CostModel(args.model))
     mismatches = []

@@ -163,7 +163,7 @@ def expected_pass_costs(algorithm: Algorithm | str, family: Family | str, n: int
     any k. Each case piece meets the next at its last k, so every later
     pass costs the steady amount.
     """
-    from .list_core import PeriodicView  # here, so that the closed forms load no simulation module
+    from .seqgen import PeriodicView  # here, so that the closed forms load no simulation module
     algorithm, family = member(Algorithm, algorithm), member(Family, family)
     check_int(n, "n")
     check_int(k, "k")

@@ -16,9 +16,8 @@ from typing import Iterable, NamedTuple
 
 from .closed_form import Algorithm, _totals, expected_pass_costs
 from .errors import Family, InvalidParameterError, check_int, check_range, member
-from .list_core import CostModel, ListState, PeriodicView
-from .policies import _passes, make_policy, serve
-from .seqgen import GENERATORS
+from .policies import CostModel, _pass_ends, _passes, make_policy
+from .seqgen import GENERATORS, PeriodicView, _initial_order
 
 __all__ = [
     "GridCell",
@@ -62,7 +61,7 @@ class VerificationReport(NamedTuple):
 
 class PassProfile(NamedTuple):
     """Simulated per-pass costs and pass-end configurations (full model),
-    as the views of the run's ``CostLedger``."""
+    as views that hold what ``serve``'s ledger holds of them."""
 
     pass_costs: PeriodicView
     pass_end_configs: PeriodicView
@@ -109,7 +108,7 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
                     # The first k passes of a k_hi-pass run are the k-pass run,
                     # so one simulation serves the whole row of k.
                     sequence = GENERATORS[family](n, k_hi)
-                    totals = _passes(make_policy(algorithm.value), ListState.initial(n), sequence, model)
+                    totals = _passes(make_policy(algorithm.value), _initial_order(n), sequence, model)
                     simulated = totals.total(k_lo - 1)
                     # Pass i's expected cost does not depend on k, so the row's first divergent request (... until
                     # its first mismatch) is that of every mismatched cell whose passes reach it.
@@ -129,8 +128,9 @@ def _grid(algorithms, families, n_range, k_range, model) -> VerificationReport:
 
 def per_pass_profile(algorithm: Algorithm | str, family: Family | str, n: int, k: int) -> PassProfile:
     """Full-model per-pass costs and pass-end configurations."""
+    from .list_core import ListState  # imported here, so that verify never loads it
     algorithm, family = member(Algorithm, algorithm), member(Family, family)
     check_int(k, "k")
     sequence = GENERATORS[family](n, k)
-    ledger = serve(make_policy(algorithm.value), ListState.initial(n), sequence, CostModel.FULL)
-    return PassProfile(ledger.pass_totals, ledger.pass_end_configs)
+    return PassProfile(*_pass_ends(make_policy(algorithm.value), _initial_order(n), sequence, CostModel.FULL,
+                                   ListState._unchecked))

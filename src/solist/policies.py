@@ -1,24 +1,28 @@
-"""The three reorganization policies: move-to-front, transpose, and
-frequency count.
+"""The cost models and the three reorganization policies: move-to-front,
+transpose, and frequency count.
 
 Each policy maps (state, requested item) to (access cost, new state).
 Cost is charged at the pre-reorganization position; the reorganization
 itself uses only free exchanges, so no policy ever pays for a move.
 ``step`` performs one access as a pure function; ``serve`` folds a whole
-request sequence into a :class:`CostLedger`.
+request sequence into a :class:`CostLedger`. A run starts from a tuple of
+items, so only those two load :mod:`solist.list_core`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from enum import Enum
 from itertools import islice, repeat
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidParameterError, ItemNotInListError, check_ids, check_int, choose, shown
-from .list_core import CostLedger, CostModel, ListState, PeriodicView
-from .seqgen import RequestSequence
+from .errors import InvalidParameterError, ItemNotInListError, by_value, check_ids, check_int, choose, shown
+from .seqgen import PeriodicView, RequestSequence, _Value
+
+if TYPE_CHECKING:
+    from .list_core import CostLedger, ListState
 
 __all__ = [
+    "CostModel",
     "AccessOutcome",
     "Policy",
     "MoveToFront",
@@ -28,7 +32,7 @@ __all__ = [
     "serve",
 ]
 
-# A run of a rule owns its working arrangement. ``_start_run`` returns
+# A run of a rule owns its working arrangement. ``_start_run(items)`` returns
 #   advance(block, costs, first) -> serves the requests of ``block`` in
 #       turn, appending to ``costs`` each one's position before its access,
 #       counting the front as ``first``; the rule reorganizes after each;
@@ -49,6 +53,31 @@ _ONE_CODE_POINT_ITEMS = 0x110000
 _LOW = 0x400
 
 _SLICE = 4096  # serve runs a stream without passes this many requests at a time: only their costs are int objects
+
+
+class CostModel(Enum):
+    """How an access at position i is charged.
+
+    FULL charges i (the item itself is touched); PARTIAL charges i - 1
+    (only the comparisons made before the hit). Forward moves of the
+    just-accessed item are free under both models; any other adjacent
+    swap is a paid exchange costing 1.
+    """
+
+    FULL = "full"
+    PARTIAL = "partial"
+
+    _missing_ = by_value("cost model")
+
+    @classmethod
+    def discount(cls, model: "CostModel") -> int:
+        """The one cost rule: under ``model`` an access at position i costs
+        i less this discount (0 or 1), so any m requests cost exactly m less
+        under PARTIAL than under FULL. Raises InvalidParameterError for
+        anything that is not a CostModel."""
+        if not isinstance(model, cls):
+            raise InvalidParameterError(f"unknown cost model {shown(model)}")
+        return 1 if model is cls.PARTIAL else 0
 
 
 def _encode(order: tuple[int, ...]) -> tuple[dict[int, str], int, str, Callable[[str], tuple]]:
@@ -80,21 +109,22 @@ class AccessOutcome(NamedTuple):
     new_policy: "Policy"
 
 
-class Policy:
+class Policy(_Value):
     """Base class for reorganization rules. Policies are immutable values;
     stateful rules (frequency count) return an updated copy from ``step``.
 
     A rule is defined once, by ``_start_run``, which starts a run from a
-    state and returns its advance, state and arrangement functions, and by
-    ``_after``, the policy for the next request. ``step`` and ``serve``
-    are both built on these and name no rule.
+    tuple of items and returns its advance, state and arrangement functions,
+    and by ``_after``, the policy for the next request. ``step`` and
+    ``serve`` are both built on these and name no rule.
     """
 
     def step(self, state: ListState, item: int, model: CostModel = CostModel.FULL) -> AccessOutcome:
         """Serve one request as a pure function of (policy, state, item)."""
+        from .list_core import ListState  # imported here, so that loading the rules loads no dataclasses
         check_ids((item,), "each request")
         first = 1 - CostModel.discount(model)
-        advance, run_state, arrangement = self._start_run(state)
+        advance, run_state, arrangement = self._start_run(state.order)
         costs: list[int] = []
         try:
             advance((item,), costs, first)
@@ -102,14 +132,13 @@ class Policy:
             raise ItemNotInListError(item) from None
         return AccessOutcome(costs[0], ListState._unchecked(arrangement(run_state())), self._after(item))
 
-    def _start_run(self, initial: ListState) -> _Run:
+    def _start_run(self, initial: tuple[int, ...]) -> _Run:
         raise NotImplementedError
 
     def _after(self, item: int) -> "Policy":
         return self  # a rule without counters is the same policy after any access
 
 
-@dataclass(frozen=True)
 class MoveToFront(Policy):
     """After accessing an item, move it to the front of the list.
 
@@ -118,8 +147,8 @@ class MoveToFront(Policy):
     puts the token first.
     """
 
-    def _start_run(self, initial: ListState) -> _Run:
-        token_of, width, s, decode = _encode(initial.order)
+    def _start_run(self, initial: tuple[int, ...]) -> _Run:
+        token_of, width, s, decode = _encode(initial)
 
         def advance(block: Sequence[int], costs: list, first: int) -> None:
             nonlocal s
@@ -134,7 +163,6 @@ class MoveToFront(Policy):
         return advance, lambda: s, decode
 
 
-@dataclass(frozen=True)
 class Transpose(Policy):
     """After accessing an item, swap it with its immediate predecessor.
 
@@ -143,8 +171,8 @@ class Transpose(Policy):
     the swap changes the index of exactly two items.
     """
 
-    def _start_run(self, initial: ListState) -> _Run:
-        order = list(initial.order)
+    def _start_run(self, initial: tuple[int, ...]) -> _Run:
+        order = list(initial)
         where = {member: index for index, member in enumerate(order)}
 
         def advance(block: Sequence[int], costs: list, first: int) -> None:
@@ -162,7 +190,6 @@ class Transpose(Policy):
         return advance, lambda: tuple(order), tuple
 
 
-@dataclass(frozen=True)
 class FrequencyCount(Policy):
     """Keep the list in non-increasing order of per-item access counters.
 
@@ -179,14 +206,12 @@ class FrequencyCount(Policy):
     re-slices the str once to move the item.
     """
 
-    counters: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        check_ids(self.counters, "each counted item")
-        for item, count in self.counters.items():
+    def __init__(self, counters: Mapping[int, int] = {}) -> None:  # the default is only read: it is copied below
+        check_ids(counters, "each counted item")
+        for item, count in counters.items():
             if type(count) is not int or count < 0:  # name the item only for a counter check_int may reject
                 check_int(count, f"counter for item {shown(item)}", minimum=0)
-        object.__setattr__(self, "counters", dict(self.counters))
+        object.__setattr__(self, "counters", dict(counters))
 
     def counter(self, item: int) -> int:
         return self.counters.get(item, 0)
@@ -194,12 +219,12 @@ class FrequencyCount(Policy):
     def _after(self, item: int) -> "FrequencyCount":
         return FrequencyCount({**self.counters, item: self.counter(item) + 1})
 
-    def _start_run(self, initial: ListState) -> _Run:
-        token_of, width, s, decode = _encode(initial.order)
+    def _start_run(self, initial: tuple[int, ...]) -> _Run:
+        token_of, width, s, decode = _encode(initial)
         stray = self.counters.keys() - token_of.keys()
         if stray:
             raise InvalidParameterError(f"counted item {shown(min(stray))} is not in the list")
-        along = [self.counters.get(item, 0) for item in initial.order]
+        along = [self.counters.get(item, 0) for item in initial]
 
         def advance(block: Sequence[int], costs: list, first: int) -> None:
             nonlocal s
@@ -253,13 +278,13 @@ def _costs(advance: Callable, first: int, blocks: Iterable[Sequence[int]]) -> It
         yield costs
 
 
-def _serve_stream(policy: Policy, initial: ListState, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
+def _serve_stream(policy: Policy, initial: tuple, blocks: Iterable[Sequence[int]], model: CostModel) -> int:
     """The total cost of serving ``blocks`` one after another, holding one block's costs at a time."""
     advance = policy._start_run(initial)[0]
     return sum(map(sum, _costs(advance, 1 - CostModel.discount(model), blocks)))
 
 
-def _passes(policy: Policy, initial: ListState, sequence: RequestSequence, model: CostModel,
+def _passes(policy: Policy, initial: tuple, sequence: RequestSequence, model: CostModel,
             keep: Callable[[list[int], tuple], None] | None = None) -> PeriodicView:
     """The one pass loop: start a run of ``policy`` from ``initial`` and serve the block of ``sequence`` pass after
     pass until a pass-end run state repeats. Return the pass totals up to the first pass that ended in that state, and
@@ -278,6 +303,21 @@ def _passes(policy: Policy, initial: ListState, sequence: RequestSequence, model
         if start < index:
             return PeriodicView(totals[:start + 1], totals[start + 1:], num_passes)
     return PeriodicView(totals, (), num_passes)
+
+
+def _pass_ends(policy: Policy, initial: tuple, sequence: RequestSequence, model: CostModel, wrap: Callable = tuple,
+               store: Callable[[list[int]], object] = lambda costs: None) -> tuple[PeriodicView, PeriodicView]:
+    """``_passes``'s totals, and a view of ``wrap`` of each pass-end arrangement, which repeats where the totals
+    do. Hand ``store`` each stored pass's costs."""
+    ends: list = []
+
+    def keep(costs: list[int], order: tuple) -> None:
+        store(costs)
+        ends.append(wrap(order))
+
+    totals = _passes(policy, initial, sequence, model, keep)
+    cut = len(totals.head)
+    return totals, PeriodicView(ends[:cut], ends[cut:], len(totals))
 
 
 def serve(
@@ -302,34 +342,19 @@ def serve(
     hold the passes before that cycle and one copy of it, and read as the
     same ledger, request for request, at any number of passes.
     """
-    from array import array  # imported here, so that simulate, which stores no costs without --per-pass, never loads it
+    from array import array  # imported here, so that simulate, which stores no costs, never loads it
+    from .list_core import CostLedger, ListState
     per_request = array("q")  # a cost is a position in a list held in memory: 8 bytes hold it
     if sequence.block is None:
         first = 1 - CostModel.discount(model)
-        advance, state, arrangement = policy._start_run(initial)
+        advance, state, arrangement = policy._start_run(initial.order)
         requests = iter(sequence.requests)
         for costs in _costs(advance, first, iter(lambda: tuple(islice(requests, _SLICE)), ())):
             per_request.fromlist(costs)
         return CostLedger(PeriodicView(per_request), ListState._unchecked(arrangement(state())))
-    pass_configs: list[ListState] = []
-
-    def keep(costs: list[int], order: tuple) -> None:
-        per_request.fromlist(costs)
-        pass_configs.append(ListState._unchecked(order))
-
-    pass_totals = _passes(policy, initial, sequence, model, keep)
-
-    # The views keep these sequences: nothing else holds them. They repeat from where the pass totals' cycle starts.
-    def view(stored, width: int = 1) -> PeriodicView:
-        cut = len(pass_totals.head) * width
-        cycle = stored[cut:]
-        del stored[cut:]
-        return PeriodicView(stored, cycle, len(pass_totals) * width)
-
-    configs = view(pass_configs)
-    return CostLedger(
-        per_request=view(per_request, len(sequence.block)),
-        final_state=configs[-1] if configs else initial,
-        pass_totals=pass_totals,
-        pass_end_configs=configs,
-    )
+    totals, configs = _pass_ends(policy, initial.order, sequence, model, ListState._unchecked, per_request.fromlist)
+    cut = len(totals.head) * len(sequence.block)  # the costs repeat from where the totals do: split them in place
+    cycle = per_request[cut:]
+    del per_request[cut:]
+    return CostLedger(PeriodicView(per_request, cycle, len(sequence)), configs[-1] if configs else initial, totals,
+                      configs)

@@ -1,12 +1,10 @@
 """End-to-end command-line tests: exact output text and exit codes."""
 
-import dataclasses
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -17,8 +15,7 @@ import solist.closed_form
 import solist.harness
 import solist.policies
 from solist import CostLedger, CostModel, ListState, ParseError, Prediction, SolistError, gen_t1, gen_t2, make_policy
-from solist import predict, serve
-from solist.list_core import PeriodicView
+from solist import per_pass_profile, predict, serve
 from solist.cli import main
 from solist.closed_form import _totals
 
@@ -57,27 +54,14 @@ def test_simulate_per_pass(capsys):
     ]
 
 
-class _Copies(Sequence):
-    """The configurations of ``stored``, each read as a new equal object."""
-
-    def __init__(self, stored):
-        self.stored = stored
-
-    def __len__(self):
-        return len(self.stored)
-
-    def __getitem__(self, index):
-        return ListState(self.stored[index].order)
-
-
 @pytest.mark.parametrize("model", ["full", "partial"])
 @pytest.mark.parametrize("family", ["t1", "t2"])
 @pytest.mark.parametrize("algo", ["mtf", "trans", "fc"])
 def test_per_pass_prints_serves_views(capsys, monkeypatch, algo, family, model):
     # k runs past the cycle, so most lines repeat a stored pass. The printer
-    # reads each pass from serve's views, not from which object the view
-    # hands out: a view whose configurations come out as new objects on each
-    # read prints the same lines.
+    # prints what serve's views hold, and reads each pass by its place in the
+    # pass loop, not by which object the loop hands out: a loop that hands
+    # its keep a new copy of each arrangement prints the same lines.
     n, k = 6, 15
     argv = ["simulate", "--algo", algo, "--seq", family, "--n", str(n), "--k", str(k), "--model", model, "--per-pass"]
     generator = {"t1": gen_t1, "t2": gen_t2}[family]
@@ -88,14 +72,18 @@ def test_per_pass_prints_serves_views(capsys, monkeypatch, algo, family, model):
     expected = "".join(f"{line}\n" for line in lines + [f"total {ledger.grand_total}"])
     assert run_cli(capsys, *argv) == (0, expected, "")
 
-    def copying_serve(*inputs):
-        ledger = serve(*inputs)
-        configs = ledger.pass_end_configs
-        copies = PeriodicView(_Copies(configs.head), _Copies(configs.cycle), len(configs))
-        return dataclasses.replace(ledger, pass_end_configs=copies)
+    real, copies = solist.policies._passes, []
 
-    monkeypatch.setattr(solist.policies, "serve", copying_serve)
+    def copying_passes(policy, initial, sequence, model, keep=None):
+        def keep_a_copy(costs, order):
+            copies.append(order)
+            keep(costs, tuple(list(order)))
+
+        return real(policy, initial, sequence, model, keep and keep_a_copy)
+
+    monkeypatch.setattr(solist.policies, "_passes", copying_passes)
     assert run_cli(capsys, *argv) == (0, expected, "")
+    assert len(copies) == len(ledger.pass_totals.head) + len(ledger.pass_totals.cycle)
 
 
 def test_simulate_partial_model(capsys):
@@ -584,7 +572,7 @@ def test_verify_writes_the_rows_before_an_error_to_its_output(capsys, monkeypatc
     real = solist.harness._passes
 
     def broken_at_2(policy, initial, *rest):
-        if len(initial.order) == 2:
+        if len(initial) == 2:
             raise SolistError("row n 2 failed")
         return real(policy, initial, *rest)
 
@@ -852,15 +840,15 @@ def test_verify_out_of_memory_is_exit_2():
 @linux_only
 def test_cli_stores_a_thousand_passes_as_machine_ints():
     # Transpose on T1 at n = 2000 repeats no pass-end state within 1001
-    # passes, so with --per-pass, the one simulate path that builds a ledger,
-    # serve stores all 1001 of them: 2M costs, as 8-byte machine ints. Each
-    # head configuration's text (8,892 characters) is formatted as its line
-    # is written. This run passes at 51 MB and fails at 50 MB under CPython
-    # 3.11.7, 3.12.1 and 3.13.0. Formatting all 1001 texts before the first
-    # line fails at 55 MB under all three, and storing the costs as int
-    # objects fails at 112 MB.
+    # passes: 2M requests. With --per-pass, simulate keeps each pass's total
+    # and each pass-end arrangement, which for transpose is the state it
+    # detects a repeat by, and no per-request cost. Each head configuration's
+    # text (8,892 characters) is formatted as its line is written. The run
+    # peaks at about 30 MB of RSS and passes at 34 MB under CPython 3.11.7,
+    # 3.12.1 and 3.13.0; --per-pass through serve's ledger, which stored the
+    # 2M costs as 8-byte machine ints, needed 51 MB.
     argv = ["simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", "--per-pass"]
-    result = solist_child(*argv, limit_mb=55)
+    result = solist_child(*argv, limit_mb=44)
     prediction = predict("trans", "T1", 2000, 1001)
     assert (prediction.case_id, prediction.total) == ("3.1b", 2003501500)
     lines = result.stdout.splitlines()
@@ -872,7 +860,7 @@ def test_cli_stores_a_thousand_passes_as_machine_ints():
 def test_simulate_keeps_only_the_pass_totals():
     # Without --per-pass, simulate prints one total, so it keeps each pass's
     # total and the pass-end state it detects a repeat by, and no per-request
-    # cost: the same run as above peaks at about 31 MB of RSS, and a ledger
+    # cost: the same run as above peaks at about 30 MB of RSS, and a ledger
     # of its 2M costs fails at 48 MB.
     result = solist_child("simulate", "--algo", "trans", "--seq", "t1", "--n", "2000", "--k", "1001", limit_mb=44)
     assert (result.returncode, result.stdout, result.stderr) == (0, "total 2003501500\n", "")
@@ -882,20 +870,27 @@ def test_simulate_keeps_only_the_pass_totals():
     ["simulate", "--algo", "mtf", "--seq", "t1", "--n", "7", "--k", "5"],
     ["simulate", "--algo", "trans", "--seq", "t1", "--n", "9", "--k", "10", "--model", "partial"],
     ["simulate", "--algo", "fc", "--seq", "t2", "--n", "6", "--k", "1000000000000"],
+    ["simulate", "--algo", "trans", "--seq", "t1", "--n", "9", "--k", "30", "--model", "partial", "--per-pass"],
+    ["simulate", "--algo", "fc", "--seq", "t2", "--n", "6", "--k", "20", "--per-pass"],
     ["verify", "--n", "1..8", "--k", "1..8"],
     ["verify", "--algo", "trans", "--n", "3..6", "--k", "2..9", "--model", "partial", "--format", "csv"],
-], ids=["simulate-mtf", "simulate-trans-partial", "simulate-fc-huge-k", "verify", "verify-csv"])
+], ids=["simulate-mtf", "simulate-trans-partial", "simulate-fc-huge-k", "per-pass-trans-partial", "per-pass-fc",
+        "verify", "verify-csv"])
 def test_totals_are_printed_without_a_ledger(capsys, monkeypatch, argv):
-    # simulate without --per-pass and verify read only pass totals: they print
-    # the same bytes when no CostLedger can be built, while --per-pass, which
-    # prints the ledger's snapshots, needs one.
-    expected = run_cli(capsys, *argv)
+    # simulate, with or without --per-pass, and verify read only pass totals
+    # and pass-end arrangements: they print the same bytes when no CostLedger
+    # or ListState can be built.
+    expected, state = run_cli(capsys, *argv), ListState.initial(3)
 
-    def refuse(ledger):
-        raise AssertionError("a CostLedger was built")
+    def refuse(*args):
+        raise AssertionError("a CostLedger or a ListState was built")
 
     monkeypatch.setattr(CostLedger, "__post_init__", refuse)
+    monkeypatch.setattr(ListState, "__post_init__", refuse)
+    monkeypatch.setattr(ListState, "_unchecked", refuse)
     assert run_cli(capsys, *argv) == expected
     assert expected[0] == 0 and expected[1]
-    with pytest.raises(AssertionError, match="a CostLedger was built"):
-        main(["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2", "--per-pass"])
+    for build in (lambda: ListState((1, 2)), lambda: ListState.initial(2), lambda: per_pass_profile("mtf", "T1", 3, 2),
+                  lambda: serve(make_policy("mtf"), state, gen_t1(3, 2))):
+        with pytest.raises(AssertionError, match="a CostLedger or a ListState was built"):
+            build()

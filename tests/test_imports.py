@@ -112,8 +112,8 @@ def fresh(code: str, *argv: str):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-# The package's modules and dataclasses (which imports inspect) loaded so far.
-LOADED = "json.dumps(sorted(m for m in sys.modules if m.startswith('solist') or m == 'dataclasses'))"
+# The package's modules, dataclasses (which imports inspect) and array loaded so far.
+LOADED = "json.dumps(sorted(m for m in sys.modules if m.startswith('solist') or m in ('dataclasses', 'array')))"
 
 
 def test_importing_the_package_loads_no_module():
@@ -123,6 +123,11 @@ def test_importing_the_package_loads_no_module():
 def test_a_closed_form_loads_only_the_closed_form_module():
     code = f"import json, sys\nfrom solist import predict\nprint({LOADED})"
     assert fresh(code) == ["solist", "solist.closed_form", "solist.errors"]
+
+
+def test_the_rules_and_sequences_load_without_dataclasses():
+    code = f"import json, sys\nfrom solist import RequestSequence, Transpose, gen_t1, make_policy\nprint({LOADED})"
+    assert fresh(code) == ["solist", "solist.closed_form", "solist.errors", "solist.policies", "solist.seqgen"]
 
 
 @pytest.mark.parametrize("module, loaded", [
@@ -155,29 +160,39 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
 
 # What each subcommand loads, at sizes small enough to run in milliseconds.
 # A module imported at the top of cli, or of a module a command uses,
-# shows up here as a diff. The closed-form commands load no dataclasses.
-COMMAND_MODULES = [
-    (["--help"], []),
-    (["predict", "--algo", "trans", "--seq", "t1", "--n", "5", "--k", "3"],
-     ["solist.closed_form"]),
-    (["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2"],
-     ["dataclasses", "solist.list_core", "solist.policies", "solist.seqgen"]),
-    (["compare", "--seq", "t2", "--n", "3", "--k", "1..2"],
-     ["solist.closed_form"]),
-    (["crossover", "--seq", "t1", "--n", "1..3", "--kmax", "5"],
-     ["solist.closed_form"]),
-    (["verify", "--n", "1..2", "--k", "1..2"],
-     ["dataclasses", "solist.closed_form", "solist.harness", "solist.list_core", "solist.policies",
-      "solist.seqgen"]),
-]
+# shows up here as a diff. No command loads dataclasses or list_core: they
+# run on item tuples. None stores per-request costs, so none loads array.
+# LIST and SEQ name a list file and a request file.
+COMMAND_MODULES = {
+    "--help": (["--help"], []),
+    "predict": (["predict", "--algo", "trans", "--seq", "t1", "--n", "5", "--k", "3"],
+                ["solist.closed_form"]),
+    "simulate": (["simulate", "--algo", "mtf", "--seq", "t1", "--n", "3", "--k", "2"],
+                 ["solist.policies", "solist.seqgen"]),
+    "simulate-per-pass": (["simulate", "--algo", "trans", "--seq", "t2", "--n", "3", "--k", "2", "--per-pass"],
+                          ["solist.policies", "solist.seqgen"]),
+    "simulate-files": (["simulate", "--algo", "fc", "--list-file", "LIST", "--seq-file", "SEQ"],
+                       ["solist.policies", "solist.seqgen"]),
+    "compare": (["compare", "--seq", "t2", "--n", "3", "--k", "1..2"],
+                ["solist.closed_form"]),
+    "crossover": (["crossover", "--seq", "t1", "--n", "1..3", "--kmax", "5"],
+                  ["solist.closed_form"]),
+    "verify": (["verify", "--n", "1..2", "--k", "1..2"],
+               ["solist.closed_form", "solist.harness", "solist.policies", "solist.seqgen"]),
+}
 
 
-@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
-def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    files = {"LIST": "3 1 2\n", "SEQ": "1 2\n2 3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     code = (
         "import json, sys\n"
         "from solist.cli import main\n"
-        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n    status = exc.code\n"
+        "if status:\n    sys.exit(f'exit status {status}')\n"
         f"print({LOADED})"
     )
     expected = sorted(["solist", "solist.cli", "solist.errors", *modules])

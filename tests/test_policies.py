@@ -283,7 +283,7 @@ def test_pass_totals_equal_serve_and_the_oracle(name, inst):
     policy = FrequencyCount(counters) if name == "fc" else POLICIES[name]
     sequence = RequestSequence.repeat(block, k)
     for model in CostModel:
-        totals = policies._passes(policy, state, sequence, model)
+        totals = policies._passes(policy, state.order, sequence, model)
         ledger = serve(policy, state, sequence, model)
         head, cycle = oracle_passes(name, state.order, counters if name == "fc" else {}, block, k, model)
         assert (tuple(totals.head), tuple(totals.cycle), len(totals)) == (head, cycle, k)
@@ -353,7 +353,7 @@ def test_pass_totals_equal_the_pairwise_oracle(name, inst):
     sequence = RequestSequence.repeat(block, k)
     for model in CostModel:
         expected = pairwise_view(name, state.order, block, model, counters, k)
-        totals = policies._passes(policy, state, sequence, model)
+        totals = policies._passes(policy, state.order, sequence, model)
         assert totals == expected
         assert totals.total() == expected.total()
         assert serve(policy, state, sequence, model).pass_totals == expected
@@ -363,9 +363,9 @@ def test_pass_totals_equal_the_pairwise_oracle(name, inst):
 def test_pass_totals_name_a_missing_item_as_serve_does(name):
     sequence = RequestSequence.repeat((2, 3, 9, 1), 3)
     raised = []
-    for read in (serve, policies._passes):
+    for read, initial in ((serve, ListState.initial(3)), (policies._passes, (1, 2, 3))):
         with pytest.raises(ItemNotInListError) as caught:
-            read(POLICIES[name], ListState.initial(3), sequence, CostModel.FULL)
+            read(POLICIES[name], initial, sequence, CostModel.FULL)
         raised.append((caught.value.item, caught.value.request_index, str(caught.value)))
     assert raised[0] == raised[1] == (9, 2, "request 2: item 9 is not in the list")
 
@@ -380,7 +380,7 @@ def test_keep_is_handed_each_stored_pass_in_order(name, family):
     width = len(sequence.block)
     for model in CostModel:
         kept = []
-        totals = policies._passes(POLICIES[name], ListState.initial(n), sequence, model,
+        totals = policies._passes(POLICIES[name], ListState.initial(n).order, sequence, model,
                                   lambda costs, order: kept.append((list(costs), order)))
         costs, trace = reference.run(name, range(1, n + 1), sequence.requests, model.value)
         stored = len(totals.head) + len(totals.cycle)
@@ -407,7 +407,7 @@ def test_pass_totals_decode_no_arrangement():
     # come out of a rule that cannot decode one, serve's ledger does not.
     initial, sequence = ListState.initial(7), gen_t1(7, 20)
     for model in CostModel:
-        totals = policies._passes(_Undecodable(), initial, sequence, model)
+        totals = policies._passes(_Undecodable(), initial.order, sequence, model)
         assert totals == serve(Transpose(), initial, sequence, model).pass_totals
         with pytest.raises(AssertionError, match="an arrangement was decoded"):
             serve(_Undecodable(), initial, sequence, model)
@@ -779,7 +779,7 @@ def test_equal_run_states_serve_alike(name, inst):
     policy = FrequencyCount(dict(zip(state.order, counters))) if name == "fc" and counters else POLICIES[name]
     runs, expected = [], []
     for prefix in prefixes:
-        advance, run_state, arrangement = run = policy._start_run(state)
+        advance, run_state, arrangement = run = policy._start_run(state.order)
         advance(prefix, [], 1)
         if name == "fc":
             _, trace, after = fc_by_definition(state.order, policy.counters, prefix, CostModel.FULL)
